@@ -59,6 +59,7 @@ from .groups import (
 )
 
 from .lifting import (
+    CheckResult,
     HornMap,
     LiftingProblem,
     has_unique_inner_fillers,

@@ -11,7 +11,6 @@ and functor groupoids are all realized by direct table constructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .categories import (
     FiniteGroupoid,
@@ -20,6 +19,7 @@ from .categories import (
     validate_category,
 )
 from .groups import is_subgroup, left_cosets, one_object_groupoid
+from .lifting import CheckResult
 from .simplicial import simplices
 
 
@@ -194,15 +194,6 @@ def restriction(G, U):
     return FiniteGroupoid(objects, morphisms, src, tgt, comp, identities, inverses)
 
 
-@dataclass
-class SaturationResult:
-    holds: bool
-    witness: str | None
-
-    def __bool__(self):
-        return self.holds
-
-
 def is_saturated(G, Z):
     """No arrow leaves Z; a failing arrow is returned as witness."""
     Z = set(Z)
@@ -211,8 +202,8 @@ def is_saturated(G, Z):
         raise ValueError(f"unknown object names: {unknown}")
     for m in G.morphisms:
         if G.src[m] in Z and G.tgt[m] not in Z:
-            return SaturationResult(False, m)
-    return SaturationResult(True, None)
+            return CheckResult(False, m)
+    return CheckResult(True, None)
 
 
 def orbit_groupoid(G, H):

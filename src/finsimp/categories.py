@@ -18,15 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lifting import horn_scan, matching_simplices
 from .simplicial import (
     SimplexRef,
     SimplicialSet,
     TruncationError,
-    enumerate_maps,
     face,
     find_isomorphism,
-    horn,
-    simplices,
     truncate,
 )
 
@@ -341,17 +339,12 @@ def nerve_detect(S, depth=4):
         raise TruncationError(
             f"cannot certify to depth {depth}: set is a window truncated at {S.bound}"
         )
-    for n in range(2, depth + 1):
-        for i in range(1, n):
-            H, _ = horn(n, i)
-            for hm in enumerate_maps(H, S):
-                count = _filler_count(S, hm, n, i, stop_at=2)
-                if count == 0:
-                    return DetectResult(None, f"inner horn ({n}, {i}) map with no filler")
-                if count > 1:
-                    return DetectResult(
-                        None, f"inner horn ({n}, {i}) map with multiple fillers"
-                    )
+    unique = horn_scan(S, depth, True, lambda fillers: len(fillers) == 1)
+    if not unique.holds:
+        n, i = unique.witness.n, unique.witness.i
+        if unique.count == 0:
+            return DetectResult(None, f"inner horn ({n}, {i}) map with no filler")
+        return DetectResult(None, f"inner horn ({n}, {i}) map with multiple fillers")
 
     objects = list(S.gens[0])
     homs = {}
@@ -366,19 +359,12 @@ def nerve_detect(S, depth=4):
 
     comp = {}
     if S.bound >= 2 and homs:
-        H, _ = horn(2, 1)
-        for f, (fa, fb) in homs.items():
-            for g, (ga, gb) in homs.items():
+        for f, (_, fb) in homs.items():
+            for g, (ga, _) in homs.items():
                 if ga != fb:
                     continue
-                hm = {
-                    "0": SimplexRef((), fa, 0),
-                    "1": SimplexRef((), fb, 0),
-                    "2": SimplexRef((), gb, 0),
-                    "01": S.generator(f),
-                    "12": S.generator(g),
-                }
-                fillers = _fillers(S, hm, 2, 1)
+                horn_assign = {"01": S.generator(f), "12": S.generator(g)}
+                fillers = matching_simplices(S, horn_assign, 2, 1)
                 if len(fillers) != 1:
                     return DetectResult(None, f"composite of ({g}, {f}) is not determined")
                 mid = face(S, 1, fillers[0])
@@ -404,39 +390,6 @@ def nerve_detect(S, depth=4):
     if find_isomorphism(N, T) is None:
         return DetectResult(None, "nerve of rebuilt category does not match the input")
     return DetectResult(C, None)
-
-
-def _fillers(S, horn_assign, n, i):
-    """All n-simplices matching a horn assignment given on facet names."""
-    out = []
-    want = {}
-    for k in range(n + 1):
-        if k == i:
-            continue
-        name = "".join(str(v) for v in range(n + 1) if v != k)
-        want[k] = horn_assign[name]
-    for z in simplices(S, n):
-        if all(face(S, k, z) == want[k] for k in want):
-            out.append(z)
-    return out
-
-
-def _filler_count(S, horn_map, n, i, stop_at=None):
-    count = 0
-    for z in simplices(S, n):
-        ok = True
-        for k in range(n + 1):
-            if k == i:
-                continue
-            name = "".join(str(v) for v in range(n + 1) if v != k)
-            if face(S, k, z) != horn_map.assign[name]:
-                ok = False
-                break
-        if ok:
-            count += 1
-            if stop_at and count >= stop_at:
-                return count
-    return count
 
 
 # ---------------------------------------------------------------------------

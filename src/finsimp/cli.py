@@ -8,7 +8,8 @@ short verdict lines and construction commands print the result as
 document text, so outputs can be concatenated and fed back in.
 
 Exit status: 0 when the verdict is pass, 1 when a check fails, 2 on
-usage, parse, or dimension errors.
+usage, parse, or dimension errors, and on inputs that exhaust the
+recursion limit or memory.
 """
 
 from __future__ import annotations
@@ -216,21 +217,18 @@ def _cmd_detect_nerve(doc, args):
     return report, dsl
 
 
-def _check_report(args, res, extra=None):
-    report = {
+def _check_report(res):
+    return {
         "verdict": "pass" if res.holds else "fail",
         "checked_to": res.checked_to,
     }
-    if extra:
-        report.update(extra(res))
-    return report
 
 
 def _cmd_check_kan(doc, args):
     depth = args.depth if args.depth is not None else 3
     S = _as_sset(doc, args.name, max(depth, 1))
     res = is_kan(S, depth)
-    report = _check_report(args, res)
+    report = _check_report(res)
     if res.witness is not None:
         report["witness"] = _horn_json(res.witness)
     text = f"kan up to {depth}: {'pass' if res.holds else 'fail'}"
@@ -243,7 +241,7 @@ def _cmd_check_qcat(doc, args):
     depth = args.depth if args.depth is not None else 3
     S = _as_sset(doc, args.name, max(depth, 1))
     res = is_quasicategory(S, depth)
-    report = _check_report(args, res)
+    report = _check_report(res)
     if res.witness is not None:
         report["witness"] = _horn_json(res.witness)
     text = f"quasi-category up to {depth}: {'pass' if res.holds else 'fail'}"
@@ -263,7 +261,7 @@ def _cmd_check_fibration(doc, args):
     depth = args.depth if args.depth is not None else 2
     f = _as_map(doc, args.map)
     res = is_kan_fibration(f, depth)
-    report = _check_report(args, res)
+    report = _check_report(res)
     if res.witness is not None:
         report["witness"] = _lifting_json(res.witness)
     return report, f"kan fibration up to {depth}: {'pass' if res.holds else 'fail'}"
@@ -273,13 +271,13 @@ def _cmd_check_trivial_fibration(doc, args):
     depth = args.depth if args.depth is not None else 2
     f = _as_map(doc, args.map)
     res = is_trivial_fibration(f, depth)
-    report = _check_report(args, res)
+    report = _check_report(res)
     if res.witness is not None:
         report["witness"] = _lifting_json(res.witness)
     return report, f"trivial fibration up to {depth}: {'pass' if res.holds else 'fail'}"
 
 
-def _construction(args, name, S):
+def _construction(name, S):
     info = _sset_report(name, S)
     return {"verdict": "pass", **info}, info["dsl"]
 
@@ -288,14 +286,14 @@ def _cmd_join(doc, args):
     depth = args.depth if args.depth is not None else 4
     A = _as_sset(doc, args.left, depth)
     B = _as_sset(doc, args.right, depth)
-    return _construction(args, args.out or "join_result", join(A, B))
+    return _construction(args.out or "join_result", join(A, B))
 
 
 def _cmd_product(doc, args):
     depth = args.depth if args.depth is not None else 4
     A = _as_sset(doc, args.left, depth)
     B = _as_sset(doc, args.right, depth)
-    return _construction(args, args.out or "product_result", product(A, B))
+    return _construction(args.out or "product_result", product(A, B))
 
 
 def _cmd_cone(doc, args, side):
@@ -311,27 +309,27 @@ def _cmd_cone(doc, args, side):
 def _cmd_slice(doc, args):
     depth = args.depth if args.depth is not None else 2
     p = _as_map(doc, args.map)
-    return _construction(args, args.out or "slice_result", slice_over(p, depth))
+    return _construction(args.out or "slice_result", slice_over(p, depth))
 
 
 def _cmd_coslice(doc, args):
     depth = args.depth if args.depth is not None else 2
     p = _as_map(doc, args.map)
-    return _construction(args, args.out or "coslice_result", coslice_under(p, depth))
+    return _construction(args.out or "coslice_result", coslice_under(p, depth))
 
 
 def _cmd_mapping_space(doc, args):
     depth = args.depth if args.depth is not None else 2
     S = _as_sset(doc, args.name, depth + 1)
     M = mapping_space(S, args.source, args.target, depth)
-    return _construction(args, args.out or "mapping_space_result", M)
+    return _construction(args.out or "mapping_space_result", M)
 
 
 def _cmd_final(doc, args, which):
     depth = args.depth if args.depth is not None else 2
     S = _as_sset(doc, args.name, max(depth, 1))
     res = (is_final if which == "final" else is_initial)(S, args.vertex, depth)
-    report = _check_report(args, res)
+    report = _check_report(res)
     if res.witness is not None:
         report["witness"] = {
             "sphere_dimension": res.witness.source.bound + 1,
@@ -562,6 +560,9 @@ def main(argv=None):
         return 2
     except (DimensionError, TruncationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input exceeds the engine's limits ({exc!r})", file=sys.stderr)
         return 2
 
     report = {"schema": SCHEMA, "command": args.command, **report}

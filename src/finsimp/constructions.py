@@ -286,9 +286,38 @@ def product_projections(S, T):
 # Slices and coslices.
 
 
-def _pinned_maps(J, pin, S):
-    """Maps J -> S agreeing with the pinned generator assignment."""
-    return enumerate_maps(J, S, fixed=pin)
+def _cone_maps(p, depth, under):
+    """Level elements and simplicial set of the slice, or the coslice when `under`.
+
+    Level n holds the maps (simplex * K) -> S, or (K * simplex) -> S,
+    restricting to p on K; faces and degeneracies precompose with the
+    coface or codegeneracy joined on the same side with the identity
+    of K.
+    """
+    K, S = p.source, p.target
+    if depth < 0 or depth > MAX_DIM:
+        what = "coslice" if under else "slice"
+        raise DimensionError(f"{what} depth {depth} outside 0..{MAX_DIM}")
+
+    def joined(simplex_part, k_part):
+        return (k_part, simplex_part) if under else (simplex_part, k_part)
+
+    levels = []
+    for n in range(depth + 1):
+        parts = join_parts(*joined(standard_simplex(n), K))
+        k_names = parts.left if under else parts.right
+        pin = {name: p.assign[y] for y, name in k_names.items()}
+        levels.append(enumerate_maps(parts.sset, S, fixed=pin))
+
+    def face_fn(n, k, F):
+        return compose(F, join_of_maps(*joined(coface_map(n, k), identity_map(K))))
+
+    def degeneracy_fn(n, k, F):
+        return compose(F, join_of_maps(*joined(codegeneracy_map(n + 1, k), identity_map(K))))
+
+    sset, to_ref = from_level_data(levels, face_fn, degeneracy_fn, truncated=True)
+    vertex_of = {to_ref[(0, F)].gen: F for F in levels[0]}
+    return sset, levels, vertex_of
 
 
 def slice_data(p, depth):
@@ -299,28 +328,7 @@ def slice_data(p, depth):
     lists the maps in enumeration order and vertex_of names the level-0
     generator of each vertex map.
     """
-    K, S = p.source, p.target
-    if depth < 0 or depth > MAX_DIM:
-        raise DimensionError(f"slice depth {depth} outside 0..{MAX_DIM}")
-    levels = []
-    parts_at = {}
-    for n in range(depth + 1):
-        parts = join_parts(standard_simplex(n), K)
-        parts_at[n] = parts
-        pin = {name: p.assign[y] for y, name in parts.right.items()}
-        levels.append(_pinned_maps(parts.sset, pin, S))
-
-    def face_fn(n, k, F):
-        glue = join_of_maps(coface_map(n, k), identity_map(K))
-        return compose(F, glue)
-
-    def degeneracy_fn(n, k, F):
-        glue = join_of_maps(codegeneracy_map(n + 1, k), identity_map(K))
-        return compose(F, glue)
-
-    sset, to_ref = from_level_data(levels, face_fn, degeneracy_fn, truncated=True)
-    vertex_of = {to_ref[(0, F)].gen: F for F in levels[0]}
-    return sset, levels, vertex_of
+    return _cone_maps(p, depth, under=False)
 
 
 def slice_over(p, depth):
@@ -330,26 +338,7 @@ def slice_over(p, depth):
 
 def coslice_data(p, depth):
     """Dual of slice_data: maps (K * simplex) -> S restricting to p on K."""
-    K, S = p.source, p.target
-    if depth < 0 or depth > MAX_DIM:
-        raise DimensionError(f"coslice depth {depth} outside 0..{MAX_DIM}")
-    levels = []
-    for n in range(depth + 1):
-        parts = join_parts(K, standard_simplex(n))
-        pin = {name: p.assign[y] for y, name in parts.left.items()}
-        levels.append(_pinned_maps(parts.sset, pin, S))
-
-    def face_fn(n, k, F):
-        glue = join_of_maps(identity_map(K), coface_map(n, k))
-        return compose(F, glue)
-
-    def degeneracy_fn(n, k, F):
-        glue = join_of_maps(identity_map(K), codegeneracy_map(n + 1, k))
-        return compose(F, glue)
-
-    sset, to_ref = from_level_data(levels, face_fn, degeneracy_fn, truncated=True)
-    vertex_of = {to_ref[(0, F)].gen: F for F in levels[0]}
-    return sset, levels, vertex_of
+    return _cone_maps(p, depth, under=True)
 
 
 def coslice_under(p, depth):

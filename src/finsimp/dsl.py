@@ -546,14 +546,13 @@ class _Parser:
             return
         if cycles:
             gens.append(cycles)
-        images = []
-        for cyc_list in gens:
-            try:
-                images.append(cycles_to_images(degree, cyc_list))
-            except ValueError as exc:
-                self._fail(line, str(exc))
-                return
-        self.doc.entities[name] = ("group", perm_group(degree, images))
+        try:
+            images = [cycles_to_images(degree, cyc_list) for cyc_list in gens]
+            group = perm_group(degree, images)
+        except ValueError as exc:
+            self._fail(line, str(exc))
+            return
+        self.doc.entities[name] = ("group", group)
         self.doc.meta[name] = {}
 
     def _group_block(self, name, line, statements):

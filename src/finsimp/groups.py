@@ -189,7 +189,3 @@ def one_object_groupoid(G, obj="pt"):
     if gpd is None:
         raise ValueError("multiplication table is not a group")
     return gpd
-
-
-def groupoid_from_group(G, obj="pt"):
-    return one_object_groupoid(G, obj)

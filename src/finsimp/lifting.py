@@ -4,6 +4,8 @@ Everything here is brute force over the finite simplex sets: a horn
 map is an honest simplicial map out of a horn, a filler is a simplex
 whose faces match it, and fibration checks enumerate commuting squares
 against horn or boundary inclusions and search for diagonal lifts.
+Fillers of horns and spheres are looked up in face_index(K, n, skip),
+and every horn check runs the one scan of horn_scan.
 
 Checks on a truncated window refuse to look past its bound; on a
 complete set any depth is allowed because everything above the bound
@@ -20,9 +22,9 @@ from .simplicial import (
     compose,
     enumerate_maps,
     face,
+    face_index,
     horn,
     simplex_boundary,
-    simplices,
     standard_simplex,
     word_apply,
 )
@@ -61,45 +63,62 @@ class LiftingProblem:
 
 
 @dataclass
-class HornCheckResult:
+class CheckResult:
+    """Outcome of a check.
+
+    `holds` is the verdict and `witness` the first counterexample in
+    scan order (a HornMap, a LiftingProblem, a sphere map or an arrow
+    name), or None when the check holds.  `checked_to` is the depth the
+    check covered, where it has one; `count` is the number of fillers
+    of a horn-map witness.
+    """
+
     holds: bool
-    witness: HornMap | None
-    checked_to: int
+    witness: object
+    checked_to: int | None = None
+    count: int | None = None
 
     def __bool__(self):
         return self.holds
 
 
-@dataclass
-class UniqueFillerResult:
-    holds: bool
-    witness: HornMap | None
-    filler_count: int | None
-    checked_to: int
-
-    def __bool__(self):
-        return self.holds
+FibrationResult = CheckResult
+FinalityResult = CheckResult
 
 
-@dataclass
-class FibrationResult:
-    holds: bool
-    witness: LiftingProblem | None
-    checked_to: int
+def _facet_key(assign, n, skip):
+    """The values of a map out of a horn or boundary on its facets d_k, k != skip.
 
-    def __bool__(self):
-        return self.holds
+    Facets are the generators named by the vertex lists of
+    standard_simplex(n) without k; the tuple is ordered like the keys
+    of face_index(K, n, skip).
+    """
+    return tuple(
+        assign["".join(str(v) for v in range(n + 1) if v != k)]
+        for k in range(n + 1)
+        if k != skip
+    )
 
 
-def _facet_name(n, k):
-    return "".join(str(v) for v in range(n + 1) if v != k)
+def matching_simplices(K, assign, n, skip=None):
+    """The n-simplices of K whose faces d_k, k != skip, are the facet values of `assign`.
+
+    `assign` is the generator assignment of a map out of the (n, skip)
+    horn, or out of the n-sphere when `skip` is None; the result keeps
+    the order of simplices(K, n).
+    """
+    return face_index(K, n, skip).get(_facet_key(assign, n, skip), ())
 
 
-def _guard_depth(S, N, what):
-    if S.truncated and N > S.bound:
-        raise TruncationError(
-            f"{what} to depth {N} needs simplices past the window bound {S.bound}"
-        )
+def check_depth(N, what, *sets):
+    """Reject a depth below 1, or one past the bound of a truncated window."""
+    if N < 1:
+        raise ValueError("depth must be >= 1")
+    for S in sets:
+        if S.truncated and N > S.bound:
+            raise TruncationError(
+                f"{what} to depth {N} needs simplices past the window bound {S.bound}"
+            )
 
 
 def horn_maps(K, n, i):
@@ -110,74 +129,49 @@ def horn_maps(K, n, i):
 
 def horn_fillers(K, hm):
     """All n-simplices of K whose faces away from i match the horn map."""
-    return list(_filler_index(K, hm.n, hm.i).get(_horn_key(hm), ()))
+    return list(matching_simplices(K, hm.assignment.assign, hm.n, hm.i))
 
 
-def _filler_index(K, n, i):
-    """Partial-face-tuple lookup: faces away from i -> fillers."""
-    memo = K._index_memo
-    key = ("horn", n, i)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    table = {}
-    for z in simplices(K, n):
-        partial = tuple(face(K, k, z) for k in range(n + 1) if k != i)
-        table.setdefault(partial, []).append(z)
-    memo[key] = table
-    return table
+def _horn_shapes(N, inner):
+    """The (n, i) horns up to dimension N, n ascending, then i ascending."""
+    for n in range(2 if inner else 1, N + 1):
+        for i in range(1, n) if inner else range(n + 1):
+            yield n, i
 
 
-def _horn_key(hm):
-    n, i = hm.n, hm.i
-    return tuple(hm.assignment.assign[_facet_name(n, k)] for k in range(n + 1) if k != i)
+def horn_scan(K, N, inner, ok):
+    """Check that every horn map into K up to dimension N has fillers passing `ok`.
+
+    Scans all horns, or only the inner ones (0 < i < n) when `inner` is
+    set, n ascending, then i ascending, then horn maps in horn_maps
+    order, so the witness of a failure is reproducible.  The first map
+    whose fillers fail ok(fillers) is the witness, and `count` its
+    number of fillers.
+    """
+    for n, i in _horn_shapes(N, inner):
+        for hm in horn_maps(K, n, i):
+            fillers = matching_simplices(K, hm.assignment.assign, n, i)
+            if not ok(fillers):
+                return CheckResult(False, hm, N, len(fillers))
+    return CheckResult(True, None, N)
 
 
 def is_kan(K, N):
-    """Every horn map up to dimension N has a filler.
-
-    Scans n ascending, then i ascending, then horn maps in their
-    deterministic order, so the witness of a failure is reproducible.
-    """
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    _guard_depth(K, N, "Kan check")
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            index = _filler_index(K, n, i)
-            for hm in horn_maps(K, n, i):
-                if not index.get(_horn_key(hm)):
-                    return HornCheckResult(False, hm, N)
-    return HornCheckResult(True, None, N)
+    """Every horn map up to dimension N has a filler."""
+    check_depth(N, "Kan check", K)
+    return horn_scan(K, N, False, bool)
 
 
 def is_quasicategory(K, N):
     """Every inner horn map (0 < i < n) up to dimension N has a filler."""
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    _guard_depth(K, N, "quasi-category check")
-    for n in range(2, N + 1):
-        for i in range(1, n):
-            index = _filler_index(K, n, i)
-            for hm in horn_maps(K, n, i):
-                if not index.get(_horn_key(hm)):
-                    return HornCheckResult(False, hm, N)
-    return HornCheckResult(True, None, N)
+    check_depth(N, "quasi-category check", K)
+    return horn_scan(K, N, True, bool)
 
 
 def has_unique_inner_fillers(K, N):
     """Every inner horn map up to dimension N has exactly one filler."""
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    _guard_depth(K, N, "unique-filler check")
-    for n in range(2, N + 1):
-        for i in range(1, n):
-            index = _filler_index(K, n, i)
-            for hm in horn_maps(K, n, i):
-                count = len(index.get(_horn_key(hm), ()))
-                if count != 1:
-                    return UniqueFillerResult(False, hm, count, N)
-    return UniqueFillerResult(True, None, None, N)
+    check_depth(N, "unique-filler check", K)
+    return horn_scan(K, N, True, lambda fillers: len(fillers) == 1)
 
 
 def solve_lift(problem, find_all=False):
@@ -234,85 +228,32 @@ def _simplex_map_from_simplex(n, K, z):
     return SimplicialMap(S, K, assign)
 
 
-def is_kan_fibration(p, N):
-    """Right lifting property against all horn inclusions up to dimension N.
+def _lifting_check(p, N, shapes):
+    """Right lifting property of p against the horn (n, i) or, for i None, boundary inclusions.
 
-    Enumerates every horn map into the source together with every
-    compatible base simplex and searches for a filler upstairs; the
-    witness of a failure is the full unsolvable square.
+    Enumerates every map into the source together with every simplex
+    of the target filling its image and looks for a filler upstairs
+    lying over it; the witness of a failure is the full unsolvable
+    square.
     """
-    if N < 1:
-        raise ValueError("depth must be >= 1")
     X, Y = p.source, p.target
-    _guard_depth(X, N, "fibration check")
-    _guard_depth(Y, N, "fibration check")
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            _, incl = horn(n, i)
-            for hm in horn_maps(X, n, i):
-                below = HornMap(n, i, compose(p, hm.assignment))
-                for zY in horn_fillers(Y, below):
-                    if not _horn_lift_exists(p, hm, zY):
-                        bottom = _simplex_map_from_simplex(n, Y, zY)
-                        return FibrationResult(
-                            False, LiftingProblem(incl, p, hm.assignment, bottom), N
-                        )
-    return FibrationResult(True, None, N)
+    for n, i in shapes:
+        A, incl = simplex_boundary(n) if i is None else horn(n, i)
+        for top in enumerate_maps(A, X):
+            for zY in matching_simplices(Y, compose(p, top).assign, n, i):
+                if not any(p.apply(zX) == zY for zX in matching_simplices(X, top.assign, n, i)):
+                    bottom = _simplex_map_from_simplex(n, Y, zY)
+                    return CheckResult(False, LiftingProblem(incl, p, top, bottom), N)
+    return CheckResult(True, None, N)
 
 
-def _horn_lift_exists(p, hm, zY):
-    X = p.source
-    n, i = hm.n, hm.i
-    index = _filler_index(X, n, i)
-    for zX in index.get(_horn_key(hm), ()):
-        if word_apply(zX.word, p.assign[zX.gen]) == zY:
-            return True
-    return False
+def is_kan_fibration(p, N):
+    """Right lifting property against all horn inclusions up to dimension N."""
+    check_depth(N, "fibration check", p.source, p.target)
+    return _lifting_check(p, N, _horn_shapes(N, False))
 
 
 def is_trivial_fibration(p, N):
     """Right lifting property against all boundary inclusions up to dimension N."""
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    X, Y = p.source, p.target
-    _guard_depth(X, N, "trivial fibration check")
-    _guard_depth(Y, N, "trivial fibration check")
-    for n in range(1, N + 1):
-        B, incl = simplex_boundary(n)
-        sphere_maps = enumerate_maps(B, X)
-        for t in sphere_maps:
-            below = compose(p, t)
-            for zY in _sphere_fillers(Y, below, n):
-                if not _sphere_lift_exists(p, t, zY, n):
-                    bottom = _simplex_map_from_simplex(n, Y, zY)
-                    return FibrationResult(False, LiftingProblem(incl, p, t, bottom), N)
-    return FibrationResult(True, None, N)
-
-
-def _sphere_key(t, n):
-    return tuple(t.assign[_facet_name(n, k)] for k in range(n + 1))
-
-
-def _sphere_index(K, n):
-    memo = K._index_memo
-    key = ("sphere", n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    table = {}
-    for z in simplices(K, n):
-        table.setdefault(tuple(face(K, k, z) for k in range(n + 1)), []).append(z)
-    memo[key] = table
-    return table
-
-
-def _sphere_fillers(K, t, n):
-    return _sphere_index(K, n).get(_sphere_key(t, n), ())
-
-
-def _sphere_lift_exists(p, t, zY, n):
-    X = p.source
-    for zX in _sphere_fillers(X, t, n):
-        if word_apply(zX.word, p.assign[zX.gen]) == zY:
-            return True
-    return False
+    check_depth(N, "trivial fibration check", p.source, p.target)
+    return _lifting_check(p, N, ((n, None) for n in range(1, N + 1)))

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 from .constructions import (
     coslice_data,
-    join_parts,
+    left_cone,
     product_of_maps,
     product_parts,
+    right_cone,
     slice_data,
 )
+from .lifting import FinalityResult, check_depth, matching_simplices
 from .simplicial import (
     SimplexRef,
     SimplicialMap,
@@ -27,11 +29,9 @@ from .simplicial import (
     coface_map,
     compose,
     enumerate_maps,
-    face,
     from_level_data,
     identity_map,
     simplex_boundary,
-    simplices,
     standard_simplex,
 )
 
@@ -109,39 +109,14 @@ def pi0(S):
     return tuple(tuple(sorted(c)) for c in sorted(comps.values()))
 
 
-@dataclass
-class FinalityResult:
-    holds: bool
-    witness: SimplicialMap | None
-    checked_to: int
-
-    def __bool__(self):
-        return self.holds
-
-
-def _sphere_extends(C, t, n):
-    want = tuple(
-        t.assign["".join(str(v) for v in range(n + 1) if v != k)] for k in range(n + 1)
-    )
-    for z in simplices(C, n):
-        if all(face(C, k, z) == want[k] for k in range(n + 1)):
-            return True
-    return False
-
-
 def _extension_check(C, v, N, pinned_vertex):
     _require_vertex(C, v)
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    if C.truncated and N > C.bound:
-        raise TruncationError(
-            f"finality check to depth {N} needs simplices past the window bound {C.bound}"
-        )
+    check_depth(N, "finality check", C)
     for n in range(1, N + 1):
         B, _ = simplex_boundary(n)
         pin = {pinned_vertex(n): C.generator(v)}
         for t in enumerate_maps(B, C, fixed=pin):
-            if not _sphere_extends(C, t, n):
+            if not matching_simplices(C, t.assign, n):
                 return FinalityResult(False, t, N)
     return FinalityResult(True, None, N)
 
@@ -175,53 +150,29 @@ class ConeResult:
         return self.apex is not None
 
 
+def _cone_search(p, N, under):
+    """The first final vertex of the slice (initial vertex of the coslice when `under`)."""
+    if N < 1:
+        raise ValueError("depth must be >= 1")
+    sl, _, vertex_of = (coslice_data if under else slice_data)(p, N)
+    apex = (right_cone if under else left_cone)(p.source).apex
+    extremal = is_initial if under else is_final
+    cones = [vertex_of[name] for name in sl.gens[0] if extremal(sl, name, N).holds]
+    if not cones:
+        return ConeResult(None, None, N, ())
+    passers = tuple(F.assign[apex].gen for F in cones)
+    return ConeResult(passers[0], cones[0], N, passers)
+
+
 def limit(p, N):
     """A limit cone of the diagram p : K -> S, certified to depth N.
 
     Builds the slice to depth N and scans its vertices for finality;
     the first passer in enumeration order wins.
     """
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    sl, _, vertex_of = slice_data(p, N)
-    parts = join_parts(standard_simplex(0), p.source)
-    apex_gen = parts.left.get("0", "0")
-
-    def apex_of(F):
-        return F.assign[apex_gen].gen
-
-    winner = None
-    passers = []
-    for name in sl.gens[0]:
-        if is_final(sl, name, N).holds:
-            F = vertex_of[name]
-            passers.append(apex_of(F))
-            if winner is None:
-                winner = (apex_of(F), F)
-    if winner is None:
-        return ConeResult(None, None, N, ())
-    return ConeResult(winner[0], winner[1], N, tuple(passers))
+    return _cone_search(p, N, under=False)
 
 
 def colimit(p, N):
     """A colimit cone of p : K -> S, dual to limit via the coslice."""
-    if N < 1:
-        raise ValueError("depth must be >= 1")
-    co, _, vertex_of = coslice_data(p, N)
-    parts = join_parts(p.source, standard_simplex(0))
-    apex_gen = parts.right.get("0", "0")
-
-    def apex_of(F):
-        return F.assign[apex_gen].gen
-
-    winner = None
-    passers = []
-    for name in co.gens[0]:
-        if is_initial(co, name, N).holds:
-            F = vertex_of[name]
-            passers.append(apex_of(F))
-            if winner is None:
-                winner = (apex_of(F), F)
-    if winner is None:
-        return ConeResult(None, None, N, ())
-    return ConeResult(winner[0], winner[1], N, tuple(passers))
+    return _cone_search(p, N, under=True)

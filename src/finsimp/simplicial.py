@@ -222,21 +222,24 @@ def simplices(S, n):
     return out
 
 
-def face_tuple(S, ref):
-    """All faces (d_0, ..., d_n) of a simplex."""
-    return tuple(face(S, k, ref) for k in range(ref.dim + 1))
+def face_index(S, n, skip=None):
+    """Lookup table from partial face tuples to the n-simplices having them.
 
-
-def face_index(S, n):
-    """Lookup table from face tuples to the n-simplices having them."""
+    A simplex z is filed under (d_k z for k in 0..n, k != skip), so
+    with `skip` None the key is its full face tuple, and with skip = i
+    the key is the tuple a map out of the (n, i) horn gives on its
+    facets.  Each list keeps the order of simplices(S, n).  Memoised
+    per (n, skip) on S.
+    """
     memo = S._index_memo
-    hit = memo.get(n)
+    key = (n, skip)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     table = {}
     for z in simplices(S, n):
-        table.setdefault(face_tuple(S, z), []).append(z)
-    memo[n] = table
+        table.setdefault(tuple(face(S, k, z) for k in range(n + 1) if k != skip), []).append(z)
+    memo[key] = table
     return table
 
 

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from finsimp import cli
 from finsimp.cli import main
 from finsimp.dsl import parse_document
 
@@ -303,6 +304,19 @@ def test_truncation_overflow_exit(tmp_path, capsys):
     code, _, err = run(capsys, "check-kan", str(doc), "W", "--depth", "3")
     assert code == 2
     assert "window" in err
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_exhaustion_exits_2_without_traceback(sample, capsys, monkeypatch, exc):
+    def exhausted(doc, args):
+        raise exc()
+
+    monkeypatch.setitem(cli.HANDLERS, "check-kan", exhausted)
+    code, out, err = run(capsys, "check-kan", sample, "Pair")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert exc.__name__ in err
 
 
 def test_seed_flag_accepted(sample, capsys):

@@ -229,6 +229,11 @@ def test_group_diagnostics():
     assert any("unit product" in msg for _, msg in diags)
 
 
+def test_perm_group_with_a_repeated_point_is_located():
+    diags = diagnostics_of("group G perm 3 gens (0 1 0);")
+    assert diags == ((1, "not a permutation of 0..2: (0, 0, 2)"),)
+
+
 def test_action_diagnostics():
     text = Z2 + "action A { group Z2; on a b; act g1 a = b; }\n"
     diags = diagnostics_of(text)

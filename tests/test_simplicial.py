@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from finsimp.categories import nerve
 from finsimp.simplicial import (
     EMPTY,
     DimensionError,
@@ -17,6 +18,7 @@ from finsimp.simplicial import (
     discrete_simplicial_set,
     enumerate_maps,
     face,
+    face_index,
     find_isomorphism,
     from_level_data,
     horn,
@@ -214,6 +216,29 @@ def test_face_index_out_of_range():
 
 
 # --- validation --------------------------------------------------------------
+
+def scan_for_faces(S, n, skip, key):
+    """The n-simplices whose faces d_k, k != skip, equal `key`, by a linear scan."""
+    ks = [k for k in range(n + 1) if k != skip]
+    return [z for z in simplices(S, n) if all(face(S, k, z) == want for k, want in zip(ks, key))]
+
+
+def test_partial_face_index_matches_linear_scan(corpus):
+    sets = [nerve(C, 2) for _, C, _ in corpus]
+    sets += [standard_simplex(3), horn(3, 1)[0], simplex_boundary(3)[0]]
+    for S in sets:
+        for n in range(1, S.bound + 2):
+            for skip in [None, *range(n + 1)]:
+                index = face_index(S, n, skip)
+                keys = {
+                    tuple(face(S, k, z) for k in range(n + 1) if k != skip)
+                    for z in simplices(S, n)
+                }
+                assert set(index) == keys
+                for key in keys:
+                    assert index[key] == scan_for_faces(S, n, skip, key)
+                assert face_index(S, n, skip) is index
+
 
 def test_validate_accepts_standard_family():
     for n in range(5):
