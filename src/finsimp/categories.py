@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .lifting import horn_scan, matching_simplices
 from .simplicial import (
+    MAX_DIM,
+    DimensionError,
     SimplexRef,
     SimplicialSet,
     TruncationError,
@@ -98,6 +100,23 @@ class FiniteGroupoid(FiniteCategory):
         return self.inverses[m]
 
 
+def identity_names(objects, taken):
+    """Identity name per object: id_<obj>, with `_` appended while taken.
+
+    `taken` holds the non-identity morphism names; a name given to an
+    earlier object counts as taken too.
+    """
+    used = set(taken)
+    names = {}
+    for a in objects:
+        name = f"id_{a}"
+        while name in used:
+            name = name + "_"
+        names[a] = name
+        used.add(name)
+    return names
+
+
 def build_category(objects, homs, comp, cls=FiniteCategory, **extra):
     """Assemble a category from declared morphisms, adding identities.
 
@@ -107,13 +126,7 @@ def build_category(objects, homs, comp, cls=FiniteCategory, **extra):
     uniquified if taken.
     """
     objects = tuple(objects)
-    taken = set(homs)
-    identities = {}
-    for a in objects:
-        name = f"id_{a}"
-        while name in taken or name in identities.values():
-            name = name + "_"
-        identities[a] = name
+    identities = identity_names(objects, homs)
     src = {m: st[0] for m, st in homs.items()}
     tgt = {m: st[1] for m, st in homs.items()}
     for a, i in identities.items():
@@ -275,6 +288,8 @@ def nerve(C, depth=4):
     """
     if depth < 0:
         raise TruncationError("nerve depth must be >= 0")
+    if depth > MAX_DIM:
+        raise DimensionError(f"nerve depth {depth} exceeds the supported maximum {MAX_DIM}")
     nonid = C.non_identities()
     gens_by_dim = [list(C.objects)]
     chains = {1: [(m,) for m in nonid]}
@@ -370,17 +385,11 @@ def nerve_detect(S, depth=4):
                 mid = face(S, 1, fillers[0])
                 comp[(g, f)] = edge_name(mid)
 
-    identities = {}
-    cat_homs = dict(homs)
-    for a in objects:
-        name = f"id_{a}"
-        while name in cat_homs or name in identities.values():
-            name = name + "_"
-        identities[a] = name
+    identities = identity_names(objects, homs)
     resolved = {
         pair: (identities[h[1]] if isinstance(h, tuple) else h) for pair, h in comp.items()
     }
-    C = build_category(objects, cat_homs, resolved)
+    C = build_category(objects, homs, resolved)
     report = validate_category(C)
     if report:
         return DetectResult(None, f"rebuilt table is not a category: {report[0]}")
@@ -503,69 +512,10 @@ def join_categories(C, D, tags=("l", "r")):
 
 
 def categories_isomorphic(C, D):
-    """Existence of an isomorphism of categories (bijective on both levels)."""
-    if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
-        return False
+    """Existence of an isomorphism of categories (bijective on both levels).
 
-    d_objs = sorted(D.objects)
-    obj_map = {}
-    mor_map = {}
-
-    def extend_morphisms():
-        # with objects fixed, morphisms are matched greedily hom-set by hom-set
-        pools = {}
-        for a in C.objects:
-            for b in C.objects:
-                ch = C.hom(a, b)
-                dh = D.hom(obj_map[a], obj_map[b])
-                if len(ch) != len(dh):
-                    return False
-                pools[(a, b)] = (list(ch), list(dh))
-
-        flat = [m for a in C.objects for b in C.objects for m in pools[(a, b)][0]]
-
-        def ok_so_far(m, im):
-            # check every composition whose factors and composite are all mapped
-            if C.is_identity(m) != D.is_identity(im):
-                return False
-            trial = dict(mor_map)
-            trial[m] = im
-            for f, imf in trial.items():
-                for g, img in trial.items():
-                    if C.src[g] != C.tgt[f]:
-                        continue
-                    h = C.comp[(g, f)]
-                    if h in trial and D.comp[(img, imf)] != trial[h]:
-                        return False
-            return True
-
-        def rec(pos, used):
-            if pos == len(flat):
-                return True
-            m = flat[pos]
-            _, dh = pools[(C.src[m], C.tgt[m])]
-            for im in dh:
-                if im in used or not ok_so_far(m, im):
-                    continue
-                mor_map[m] = im
-                if rec(pos + 1, used | {im}):
-                    return True
-                del mor_map[m]
-            return False
-
-        return rec(0, set())
-
-    def rec_obj(pos, used):
-        if pos == len(C.objects):
-            return extend_morphisms()
-        a = C.objects[pos]
-        for b in d_objs:
-            if b in used:
-                continue
-            obj_map[a] = b
-            if rec_obj(pos + 1, used | {b}):
-                return True
-            del obj_map[a]
-        return False
-
-    return rec_obj(0, set())
+    The nerve is fully faithful and a nerve is determined by its
+    2-skeleton, so C and D are isomorphic exactly when their nerves
+    truncated at 2 are.
+    """
+    return find_isomorphism(nerve(C, 2), nerve(D, 2)) is not None

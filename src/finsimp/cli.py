@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .actions import (
     action_groupoid,
@@ -36,7 +38,14 @@ from .constructions import (
     right_cone,
     slice_over,
 )
-from .dsl import DslParseError, parse_document, print_entity, sanitize_sset
+from .dsl import (
+    DslParseError,
+    entity_sset,
+    parse_document,
+    print_entity,
+    ref_text,
+    sanitize_sset,
+)
 from .groups import one_object_groupoid, subgroup_closure, validate_group
 from .lifting import (
     is_kan,
@@ -69,16 +78,22 @@ def _entity(doc, name):
     return doc.entities[name]
 
 
+def _lookup(doc, name, kind):
+    """The value of the named entity, which must be of `kind`."""
+    found, value = _entity(doc, name)
+    if found != kind:
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise CliError(f"'{name}' is a {found}, not {article} {kind}")
+    return value
+
+
 def _as_sset(doc, name, depth):
     """The named simplicial set; categories, groupoids and groups are nerved."""
     kind, value = _entity(doc, name)
-    if kind == "sset":
-        return value
-    if kind in ("category", "groupoid"):
-        return sanitize_sset(nerve(value, depth))
-    if kind == "group":
-        return sanitize_sset(nerve(one_object_groupoid(value), depth))
-    raise CliError(f"'{name}' is a {kind}, not a simplicial set")
+    S = entity_sset(kind, value, depth)
+    if S is None:
+        raise CliError(f"'{name}' is a {kind}, not a simplicial set")
+    return S
 
 
 def _as_groupoid(doc, name):
@@ -92,87 +107,79 @@ def _as_groupoid(doc, name):
     raise CliError(f"'{name}' is a {kind}, not a groupoid")
 
 
-def _as_map(doc, name):
-    kind, value = _entity(doc, name)
-    if kind != "map":
-        raise CliError(f"'{name}' is a {kind}, not a map")
-    return value
-
-
-def _as_action(doc, name):
-    kind, value = _entity(doc, name)
-    if kind != "action":
-        raise CliError(f"'{name}' is a {kind}, not an action")
-    return value
-
-
-def _as_group(doc, name):
-    kind, value = _entity(doc, name)
-    if kind != "group":
-        raise CliError(f"'{name}' is a {kind}, not a group")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Report serialization.
 
 
-def _ref_text(r):
-    return "[" + " ".join(str(k) for k in r.word) + "] " + r.gen
-
-
 def _assign_json(f):
-    return {g: _ref_text(r) for g, r in sorted(f.assign.items())}
+    return {g: ref_text(r) for g, r in sorted(f.assign.items())}
 
 
 def _horn_json(h):
-    return {
-        "n": h.n,
-        "i": h.i,
-        "assignment": {k: _ref_text(r) for k, r in sorted(h.assignment.assign.items())},
-    }
+    return {"n": h.n, "i": h.i, "assignment": _assign_json(h.assignment)}
 
 
-def _sset_report(name, S):
-    return {
+def _lifting_json(problem):
+    return {"top": _assign_json(problem.top), "bottom": _assign_json(problem.bottom)}
+
+
+def _sphere_json(f):
+    return {"sphere_dimension": f.source.bound + 1, "assignment": _assign_json(f)}
+
+
+def _result_name(args):
+    """--out, or the command's default name for its result entity."""
+    return args.out or args.out_default.format_map(vars(args))
+
+
+def _sset_report(args, S, **extra):
+    name = _result_name(args)
+    dsl = print_entity("sset", name, S)
+    report = {
+        "verdict": "pass",
         "name": name,
         "sizes": list(S.size_vector()),
         "truncated": S.truncated,
-        "dsl": print_entity("sset", name, S),
+        "dsl": dsl,
+        **extra,
     }
+    return report, dsl
 
 
-def _groupoid_report(name, G):
-    return {
+def _groupoid_report(args, G, **extra):
+    name = _result_name(args)
+    dsl = print_entity("groupoid", name, G)
+    report = {
+        "verdict": "pass",
         "name": name,
         "objects": list(G.objects),
         "arrows": len(G.morphisms),
-        "dsl": print_entity("groupoid", name, G),
+        "dsl": dsl,
+        **extra,
     }
+    return report, dsl
 
 
 # ---------------------------------------------------------------------------
-# Handlers.  Each returns (report_dict, human_text).
+# Handlers.  Each takes (doc, args) and returns (report_dict, human_text);
+# the leading parameters of a shared handler are bound in the command table.
+
+_VALIDATORS = {
+    "sset": validate,
+    "category": validate_category,
+    "groupoid": validate_category,
+    "group": validate_group,
+    "action": validate_action,
+    "map": lambda f: f.validate(),
+}
 
 
 def _cmd_validate(doc, args):
+    names = list(doc.entities) if args.name is None else [args.name]
     problems = {}
-    for name, (kind, value) in doc.entities.items():
-        if args.name is not None and name != args.name:
-            continue
-        if kind == "sset":
-            report = validate(value)
-        elif kind in ("category", "groupoid"):
-            report = validate_category(value)
-        elif kind == "group":
-            report = validate_group(value)
-        elif kind == "action":
-            report = validate_action(value)
-        else:
-            report = value.validate()
-        problems[name] = {"kind": kind, "problems": list(report)}
-    if args.name is not None and args.name not in problems:
-        raise CliError(f"no entity named '{args.name}' in the document")
+    for name in names:
+        kind, value = _entity(doc, name)
+        problems[name] = {"kind": kind, "problems": list(_VALIDATORS[kind](value))}
     ok = all(not e["problems"] for e in problems.values())
     report = {"verdict": "pass" if ok else "fail", "entities": problems}
     lines = [
@@ -183,31 +190,25 @@ def _cmd_validate(doc, args):
 
 
 def _cmd_nerve(doc, args):
-    depth = args.depth if args.depth is not None else 4
     kind, value = _entity(doc, args.name)
-    if kind == "sset" or kind == "map" or kind == "action":
-        raise CliError(f"'{args.name}' is a {kind}; nerve needs a category, groupoid or group")
-    if kind == "group":
-        S = sanitize_sset(groupoid_nerve(one_object_groupoid(value), depth))
-    elif kind == "groupoid":
-        S = sanitize_sset(groupoid_nerve(value, depth))
+    if kind == "category":
+        S = nerve(value, args.depth)
+    elif kind in ("groupoid", "group"):
+        G = one_object_groupoid(value) if kind == "group" else value
+        S = groupoid_nerve(G, args.depth)
     else:
-        S = sanitize_sset(nerve(value, depth))
-    out = args.out or f"{args.name}_nerve"
-    info = _sset_report(out, S)
-    report = {"verdict": "pass", **info}
-    return report, info["dsl"]
+        raise CliError(f"'{args.name}' is a {kind}; nerve needs a category, groupoid or group")
+    return _sset_report(args, sanitize_sset(S))
 
 
 def _cmd_detect_nerve(doc, args):
-    depth = args.depth if args.depth is not None else 4
-    S = _as_sset(doc, args.name, depth)
-    res = nerve_detect(S, depth)
+    S = _as_sset(doc, args.name, args.depth)
+    res = nerve_detect(S, args.depth)
     if res.category is None:
         report = {"verdict": "fail", "reason": res.reason}
         return report, f"not a nerve: {res.reason}"
     C = res.category
-    dsl = print_entity("category", args.out or f"{args.name}_category", C)
+    dsl = print_entity("category", _result_name(args), C)
     report = {
         "verdict": "pass",
         "objects": list(C.objects),
@@ -217,132 +218,48 @@ def _cmd_detect_nerve(doc, args):
     return report, dsl
 
 
-def _check_report(res):
-    return {
-        "verdict": "pass" if res.holds else "fail",
-        "checked_to": res.checked_to,
-    }
+def _check_subject(doc, args):
+    """The arguments a check takes before its depth, from the positionals."""
+    if "map" in args:
+        return (_lookup(doc, args.map, "map"),)
+    S = _as_sset(doc, args.name, max(args.depth, 1))
+    return (S, args.vertex) if "vertex" in args else (S,)
 
 
-def _cmd_check_kan(doc, args):
-    depth = args.depth if args.depth is not None else 3
-    S = _as_sset(doc, args.name, max(depth, 1))
-    res = is_kan(S, depth)
-    report = _check_report(res)
+def _check_report(check, witness_json, line, witness_line, doc, args):
+    """Run a check; `line` and `witness_line` are format templates of the verdict."""
+    res = check(*_check_subject(doc, args), args.depth)
+    verdict = "pass" if res.holds else "fail"
+    report = {"verdict": verdict, "checked_to": res.checked_to}
+    text = line.format(args=args, verdict=verdict)
     if res.witness is not None:
-        report["witness"] = _horn_json(res.witness)
-    text = f"kan up to {depth}: {'pass' if res.holds else 'fail'}"
-    if res.witness is not None:
-        text += f" (unfillable horn n={res.witness.n}, i={res.witness.i})"
+        report["witness"] = witness_json(res.witness)
+        text += witness_line.format(w=res.witness)
     return report, text
 
 
-def _cmd_check_qcat(doc, args):
-    depth = args.depth if args.depth is not None else 3
-    S = _as_sset(doc, args.name, max(depth, 1))
-    res = is_quasicategory(S, depth)
-    report = _check_report(res)
-    if res.witness is not None:
-        report["witness"] = _horn_json(res.witness)
-    text = f"quasi-category up to {depth}: {'pass' if res.holds else 'fail'}"
-    if res.witness is not None:
-        text += f" (unfillable inner horn n={res.witness.n}, i={res.witness.i})"
-    return report, text
+def _cmd_pair(construct, doc, args):
+    A = _as_sset(doc, args.left, args.depth)
+    B = _as_sset(doc, args.right, args.depth)
+    return _sset_report(args, construct(A, B))
 
 
-def _lifting_json(problem):
-    return {
-        "top": _assign_json(problem.top),
-        "bottom": _assign_json(problem.bottom),
-    }
+def _cmd_cone(construct, doc, args):
+    cone = construct(_as_sset(doc, args.name, args.depth))
+    return _sset_report(args, cone.sset, apex=cone.apex)
 
 
-def _cmd_check_fibration(doc, args):
-    depth = args.depth if args.depth is not None else 2
-    f = _as_map(doc, args.map)
-    res = is_kan_fibration(f, depth)
-    report = _check_report(res)
-    if res.witness is not None:
-        report["witness"] = _lifting_json(res.witness)
-    return report, f"kan fibration up to {depth}: {'pass' if res.holds else 'fail'}"
-
-
-def _cmd_check_trivial_fibration(doc, args):
-    depth = args.depth if args.depth is not None else 2
-    f = _as_map(doc, args.map)
-    res = is_trivial_fibration(f, depth)
-    report = _check_report(res)
-    if res.witness is not None:
-        report["witness"] = _lifting_json(res.witness)
-    return report, f"trivial fibration up to {depth}: {'pass' if res.holds else 'fail'}"
-
-
-def _construction(name, S):
-    info = _sset_report(name, S)
-    return {"verdict": "pass", **info}, info["dsl"]
-
-
-def _cmd_join(doc, args):
-    depth = args.depth if args.depth is not None else 4
-    A = _as_sset(doc, args.left, depth)
-    B = _as_sset(doc, args.right, depth)
-    return _construction(args.out or "join_result", join(A, B))
-
-
-def _cmd_product(doc, args):
-    depth = args.depth if args.depth is not None else 4
-    A = _as_sset(doc, args.left, depth)
-    B = _as_sset(doc, args.right, depth)
-    return _construction(args.out or "product_result", product(A, B))
-
-
-def _cmd_cone(doc, args, side):
-    depth = args.depth if args.depth is not None else 4
-    K = _as_sset(doc, args.name, depth)
-    cone = left_cone(K) if side == "left" else right_cone(K)
-    name = args.out or f"cone_{side}_result"
-    info = _sset_report(name, cone.sset)
-    report = {"verdict": "pass", "apex": cone.apex, **info}
-    return report, info["dsl"]
-
-
-def _cmd_slice(doc, args):
-    depth = args.depth if args.depth is not None else 2
-    p = _as_map(doc, args.map)
-    return _construction(args.out or "slice_result", slice_over(p, depth))
-
-
-def _cmd_coslice(doc, args):
-    depth = args.depth if args.depth is not None else 2
-    p = _as_map(doc, args.map)
-    return _construction(args.out or "coslice_result", coslice_under(p, depth))
+def _cmd_slice(construct, doc, args):
+    return _sset_report(args, construct(_lookup(doc, args.map, "map"), args.depth))
 
 
 def _cmd_mapping_space(doc, args):
-    depth = args.depth if args.depth is not None else 2
-    S = _as_sset(doc, args.name, depth + 1)
-    M = mapping_space(S, args.source, args.target, depth)
-    return _construction(args.out or "mapping_space_result", M)
+    S = _as_sset(doc, args.name, args.depth + 1)
+    return _sset_report(args, mapping_space(S, args.source, args.target, args.depth))
 
 
-def _cmd_final(doc, args, which):
-    depth = args.depth if args.depth is not None else 2
-    S = _as_sset(doc, args.name, max(depth, 1))
-    res = (is_final if which == "final" else is_initial)(S, args.vertex, depth)
-    report = _check_report(res)
-    if res.witness is not None:
-        report["witness"] = {
-            "sphere_dimension": res.witness.source.bound + 1,
-            "assignment": _assign_json(res.witness),
-        }
-    text = f"{which} vertex '{args.vertex}' up to {depth}: {'pass' if res.holds else 'fail'}"
-    return report, text
-
-
-def _cmd_limit(doc, args, which):
-    depth = args.depth if args.depth is not None else 2
-    p = _as_map(doc, args.map)
-    res = (limit if which == "limit" else colimit)(p, depth)
+def _cmd_limit(search, doc, args):
+    res = search(_lookup(doc, args.map, "map"), args.depth)
     report = {
         "verdict": "pass" if res.apex is not None else "fail",
         "apex": res.apex,
@@ -352,29 +269,20 @@ def _cmd_limit(doc, args, which):
     if res.cone is not None:
         report["cone"] = _assign_json(res.cone)
     if res.apex is None:
-        return report, f"no {which} found up to depth {depth}"
-    return report, f"{which} apex: {res.apex}"
+        return report, f"no {args.command} found up to depth {args.depth}"
+    return report, f"{args.command} apex: {res.apex}"
 
 
 def _cmd_action_groupoid(doc, args):
-    A = _as_action(doc, args.name)
-    G = action_groupoid(A)
-    name = args.out or f"{args.name}_groupoid"
-    info = _groupoid_report(name, G)
-    return {"verdict": "pass", **info}, info["dsl"]
+    return _groupoid_report(args, action_groupoid(_lookup(doc, args.name, "action")))
 
 
 def _cmd_restrict(doc, args):
-    G = _as_groupoid(doc, args.name)
-    sub = restriction(G, args.objects)
-    name = args.out or f"{args.name}_restricted"
-    info = _groupoid_report(name, sub)
-    return {"verdict": "pass", **info}, info["dsl"]
+    return _groupoid_report(args, restriction(_as_groupoid(doc, args.name), args.objects))
 
 
 def _cmd_saturated(doc, args):
-    G = _as_groupoid(doc, args.name)
-    res = is_saturated(G, args.objects)
+    res = is_saturated(_as_groupoid(doc, args.name), args.objects)
     report = {"verdict": "pass" if res.holds else "fail", "witness": res.witness}
     if res.holds:
         return report, "saturated"
@@ -382,28 +290,20 @@ def _cmd_saturated(doc, args):
 
 
 def _cmd_orbit_groupoid(doc, args):
-    G = _as_group(doc, args.group)
+    G = _lookup(doc, args.group, "group")
     H = subgroup_closure(G, args.generators)
-    orb = orbit_groupoid(G, H)
-    name = args.out or f"{args.group}_orbits"
-    info = _groupoid_report(name, orb)
-    report = {"verdict": "pass", "subgroup_order": len(H), **info}
-    return report, info["dsl"]
+    return _groupoid_report(args, orbit_groupoid(G, H), subgroup_order=len(H))
 
 
 def _cmd_functor_groupoid(doc, args):
     H = _as_groupoid(doc, args.source)
     G = _as_groupoid(doc, args.target)
-    F = functor_groupoid(H, G)
-    name = args.out or "functor_groupoid_result"
-    info = _groupoid_report(name, F)
-    return {"verdict": "pass", **info}, info["dsl"]
+    return _groupoid_report(args, functor_groupoid(H, G))
 
 
 def _cmd_iso(doc, args):
-    depth = args.depth if args.depth is not None else 4
-    A = _as_sset(doc, args.left, depth)
-    B = _as_sset(doc, args.right, depth)
+    A = _as_sset(doc, args.left, args.depth)
+    B = _as_sset(doc, args.right, args.depth)
     f = find_isomorphism(A, B)
     if f is None:
         report = {"verdict": "fail", "isomorphic": False}
@@ -411,6 +311,94 @@ def _cmd_iso(doc, args):
     report = {"verdict": "pass", "isomorphic": True, "assign": _assign_json(f)}
     lines = ["isomorphic:"] + [f"  {g} -> {t}" for g, t in sorted(report["assign"].items())]
     return report, "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The command table: every subcommand is declared once, here.
+
+
+class Command(NamedTuple):
+    """A subcommand.
+
+    `positionals` are (name, help) pairs after the document; a trailing
+    `?`, `*` or `+` on the name is its nargs.  `run` is the handler.
+    `out` is the default name of the result entity, formatted with the
+    parsed arguments; a command without one takes no `--out`.  `depth`
+    is the default of `--depth`.
+    """
+
+    name: str
+    help: str
+    positionals: tuple
+    run: Callable
+    out: str | None = None
+    depth: int | None = None
+
+
+ENTITY = (("name", "entity"),)
+MAP = (("map", "map entity"),)
+PAIR = (("left", "entity"), ("right", "entity"))
+AT_VERTEX = (("name", "entity"), ("vertex", "vertex"))
+ON_OBJECTS = (("name", "groupoid entity"), ("objects*", "object names"))
+VERTEX_LINE = "{args.command} vertex '{args.vertex}' up to {args.depth}: {verdict}"
+
+COMMANDS = (
+    Command("validate", "check every entity (or one) for structural problems",
+            (("name?", "check just this entity"),), _cmd_validate),
+    Command("nerve", "nerve of a category, groupoid or group", ENTITY, _cmd_nerve,
+            out="{name}_nerve", depth=4),
+    Command("detect-nerve", "recognize a simplicial set as a nerve", ENTITY, _cmd_detect_nerve,
+            out="{name}_category", depth=4),
+    Command("check-kan", "horn filling at all positions", ENTITY,
+            partial(_check_report, is_kan, _horn_json, "kan up to {args.depth}: {verdict}",
+                    " (unfillable horn n={w.n}, i={w.i})"), depth=3),
+    Command("check-qcat", "inner horn filling", ENTITY,
+            partial(_check_report, is_quasicategory, _horn_json,
+                    "quasi-category up to {args.depth}: {verdict}",
+                    " (unfillable inner horn n={w.n}, i={w.i})"), depth=3),
+    Command("check-fibration", "right lifting against horn inclusions", MAP,
+            partial(_check_report, is_kan_fibration, _lifting_json,
+                    "kan fibration up to {args.depth}: {verdict}", ""), depth=2),
+    Command("check-trivial-fibration", "right lifting against boundary inclusions", MAP,
+            partial(_check_report, is_trivial_fibration, _lifting_json,
+                    "trivial fibration up to {args.depth}: {verdict}", ""), depth=2),
+    Command("join", "join of two simplicial sets", PAIR, partial(_cmd_pair, join),
+            out="join_result", depth=4),
+    Command("cone-left", "cone with a new initial apex", ENTITY, partial(_cmd_cone, left_cone),
+            out="cone_left_result", depth=4),
+    Command("cone-right", "cone with a new terminal apex", ENTITY, partial(_cmd_cone, right_cone),
+            out="cone_right_result", depth=4),
+    Command("product", "levelwise product", PAIR, partial(_cmd_pair, product),
+            out="product_result", depth=4),
+    Command("slice", "slice of a diagram map", MAP, partial(_cmd_slice, slice_over),
+            out="slice_result", depth=2),
+    Command("coslice", "coslice of a diagram map", MAP, partial(_cmd_slice, coslice_under),
+            out="coslice_result", depth=2),
+    Command("mapping-space", "space of paths between two vertices",
+            (("name", "entity"), ("source", "start vertex"), ("target", "end vertex")),
+            _cmd_mapping_space, out="mapping_space_result", depth=2),
+    Command("final", "sphere-extension finality of a vertex", AT_VERTEX,
+            partial(_check_report, is_final, _sphere_json, VERTEX_LINE, ""), depth=2),
+    Command("initial", "sphere-extension initiality of a vertex", AT_VERTEX,
+            partial(_check_report, is_initial, _sphere_json, VERTEX_LINE, ""), depth=2),
+    Command("limit", "limit cone of a diagram map", MAP, partial(_cmd_limit, limit), depth=2),
+    Command("colimit", "colimit cone of a diagram map", MAP, partial(_cmd_limit, colimit), depth=2),
+    Command("action-groupoid", "groupoid of an action", (("name", "action entity"),),
+            _cmd_action_groupoid, out="{name}_groupoid"),
+    Command("restrict", "full subgroupoid on listed objects", ON_OBJECTS, _cmd_restrict,
+            out="{name}_restricted"),
+    Command("saturated", "no arrows leave the listed objects", ON_OBJECTS, _cmd_saturated),
+    Command("orbit-groupoid", "coset translation action groupoid",
+            (("group", "group entity"), ("generators+", "subgroup generators")),
+            _cmd_orbit_groupoid, out="{group}_orbits"),
+    Command("functor-groupoid", "functors and natural transformations",
+            (("source", "groupoid entity"), ("target", "groupoid entity")),
+            _cmd_functor_groupoid, out="functor_groupoid_result"),
+    Command("iso", "search for an isomorphism", PAIR, _cmd_iso, depth=4),
+)
+
+# main reads this at call time, so a handler can be replaced in place
+HANDLERS = {c.name: c.run for c in COMMANDS}
 
 
 # ---------------------------------------------------------------------------
@@ -423,112 +411,21 @@ def _build_parser():
         description="checks and constructions on finite simplicial sets and groupoids",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def cmd(name, help_text, *positionals, out=False):
-        p = sub.add_parser(name, help=help_text)
+    for c in COMMANDS:
+        p = sub.add_parser(c.name, help=c.help)
         p.add_argument("doc", help="document path, or - for stdin")
-        for arg, h in positionals:
-            if arg.endswith("*"):
-                p.add_argument(arg[:-1], nargs="*", help=h)
-            elif arg.endswith("+"):
-                p.add_argument(arg[:-1], nargs="+", help=h)
+        for arg, h in c.positionals:
+            if arg[-1] in "?*+":
+                p.add_argument(arg[:-1], nargs=arg[-1], help=h)
             else:
                 p.add_argument(arg, help=h)
-        p.add_argument("--depth", type=int, default=None, help="verification dimension")
+        p.add_argument("--depth", type=int, default=c.depth, help="verification dimension")
         p.add_argument("--json", action="store_true", help="structured report")
         p.add_argument("--seed", type=int, default=None, help="accepted and ignored")
-        if out:
+        if c.out is not None:
             p.add_argument("--out", default=None, help="name of the result entity")
-        return p
-
-    p_validate = cmd("validate", "check every entity (or one) for structural problems")
-    p_validate.add_argument("name", nargs="?", default=None, help="check just this entity")
-    cmd("nerve", "nerve of a category, groupoid or group", ("name", "entity"), out=True)
-    cmd("detect-nerve", "recognize a simplicial set as a nerve", ("name", "entity"), out=True)
-    cmd("check-kan", "horn filling at all positions", ("name", "entity"))
-    cmd("check-qcat", "inner horn filling", ("name", "entity"))
-    cmd("check-fibration", "right lifting against horn inclusions", ("map", "map entity"))
-    cmd(
-        "check-trivial-fibration",
-        "right lifting against boundary inclusions",
-        ("map", "map entity"),
-    )
-    cmd("join", "join of two simplicial sets", ("left", "entity"), ("right", "entity"), out=True)
-    cmd("cone-left", "cone with a new initial apex", ("name", "entity"), out=True)
-    cmd("cone-right", "cone with a new terminal apex", ("name", "entity"), out=True)
-    cmd("product", "levelwise product", ("left", "entity"), ("right", "entity"), out=True)
-    cmd("slice", "slice of a diagram map", ("map", "map entity"), out=True)
-    cmd("coslice", "coslice of a diagram map", ("map", "map entity"), out=True)
-    cmd(
-        "mapping-space",
-        "space of paths between two vertices",
-        ("name", "entity"),
-        ("source", "start vertex"),
-        ("target", "end vertex"),
-        out=True,
-    )
-    cmd("final", "sphere-extension finality of a vertex", ("name", "entity"), ("vertex", "vertex"))
-    cmd("initial", "sphere-extension initiality of a vertex", ("name", "entity"), ("vertex", "vertex"))
-    cmd("limit", "limit cone of a diagram map", ("map", "map entity"))
-    cmd("colimit", "colimit cone of a diagram map", ("map", "map entity"))
-    cmd("action-groupoid", "groupoid of an action", ("name", "action entity"), out=True)
-    cmd(
-        "restrict",
-        "full subgroupoid on listed objects",
-        ("name", "groupoid entity"),
-        ("objects*", "object names"),
-        out=True,
-    )
-    cmd(
-        "saturated",
-        "no arrows leave the listed objects",
-        ("name", "groupoid entity"),
-        ("objects*", "object names"),
-    )
-    cmd(
-        "orbit-groupoid",
-        "coset translation action groupoid",
-        ("group", "group entity"),
-        ("generators+", "subgroup generators"),
-        out=True,
-    )
-    cmd(
-        "functor-groupoid",
-        "functors and natural transformations",
-        ("source", "groupoid entity"),
-        ("target", "groupoid entity"),
-        out=True,
-    )
-    cmd("iso", "search for an isomorphism", ("left", "entity"), ("right", "entity"))
+            p.set_defaults(out_default=c.out)
     return parser
-
-
-HANDLERS = {
-    "validate": _cmd_validate,
-    "nerve": _cmd_nerve,
-    "detect-nerve": _cmd_detect_nerve,
-    "check-kan": _cmd_check_kan,
-    "check-qcat": _cmd_check_qcat,
-    "check-fibration": _cmd_check_fibration,
-    "check-trivial-fibration": _cmd_check_trivial_fibration,
-    "join": _cmd_join,
-    "cone-left": lambda doc, args: _cmd_cone(doc, args, "left"),
-    "cone-right": lambda doc, args: _cmd_cone(doc, args, "right"),
-    "product": _cmd_product,
-    "slice": _cmd_slice,
-    "coslice": _cmd_coslice,
-    "mapping-space": _cmd_mapping_space,
-    "final": lambda doc, args: _cmd_final(doc, args, "final"),
-    "initial": lambda doc, args: _cmd_final(doc, args, "initial"),
-    "limit": lambda doc, args: _cmd_limit(doc, args, "limit"),
-    "colimit": lambda doc, args: _cmd_limit(doc, args, "colimit"),
-    "action-groupoid": _cmd_action_groupoid,
-    "restrict": _cmd_restrict,
-    "saturated": _cmd_saturated,
-    "orbit-groupoid": _cmd_orbit_groupoid,
-    "functor-groupoid": _cmd_functor_groupoid,
-    "iso": _cmd_iso,
-}
 
 
 def _load_document(path):

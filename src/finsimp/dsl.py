@@ -34,6 +34,7 @@ from .categories import (
     FiniteCategory,
     as_groupoid,
     build_category,
+    identity_names,
     nerve,
     validate_category,
 )
@@ -45,6 +46,7 @@ from .groups import (
     validate_group,
 )
 from .simplicial import (
+    MAX_DIM,
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
@@ -288,6 +290,9 @@ class _Parser:
                     self._fail(kw.line, "usage: dim N;")
                 elif bound is not None:
                     self._fail(kw.line, "duplicate dim statement")
+                elif int(stmt[1].text) > MAX_DIM:
+                    dim = int(stmt[1].text)
+                    self._fail(kw.line, f"dim {dim} exceeds the supported maximum {MAX_DIM}")
                 else:
                     bound = int(stmt[1].text)
             elif kw.text == "truncated":
@@ -299,6 +304,8 @@ class _Parser:
                     self._fail(kw.line, "usage: gen DIM name ...;")
                     continue
                 d = int(stmt[1].text)
+                if d > MAX_DIM:
+                    self._fail(kw.line, f"gen {d} exceeds the supported maximum {MAX_DIM}")
                 for tok in stmt[2:]:
                     if not _is_name(tok.text):
                         self._fail(tok.line, f"bad generator name '{tok.text}'")
@@ -432,13 +439,7 @@ class _Parser:
             # names are broken; composites would only cascade
             return
 
-        identity_of = {}
-        taken = set(homs)
-        for a in objects:
-            ident = f"id_{a}"
-            while ident in taken or ident in identity_of.values():
-                ident = ident + "_"
-            identity_of[a] = ident
+        identity_of = identity_names(objects, homs)
         known = set(homs) | set(identity_of.values())
         src = {f: st[0] for f, st in homs.items()}
         tgt = {f: st[1] for f, st in homs.items()}
@@ -711,15 +712,10 @@ class _Parser:
         if name not in self.doc.entities:
             self._fail(line, f"unknown entity '{name}'")
             return None
-        kind, value = self.doc.entities[name]
-        if kind == "sset":
-            return value
-        if kind in ("category", "groupoid"):
-            return sanitize_sset(nerve(value, MAP_NERVE_DEPTH))
-        if kind == "group":
-            return sanitize_sset(nerve(one_object_groupoid(value), MAP_NERVE_DEPTH))
-        self._fail(line, f"'{name}' is not a simplicial set, category or group")
-        return None
+        S = entity_sset(*self.doc.entities[name], MAP_NERVE_DEPTH)
+        if S is None:
+            self._fail(line, f"'{name}' is not a simplicial set, category or group")
+        return S
 
     def _map_block(self, name, line):
         # NAME already consumed; expect ': A -> B {'
@@ -819,8 +815,25 @@ def sanitize_sset(S):
     return rename_generators(S, mapping)
 
 
-def _word_text(word):
-    return "[" + " ".join(str(k) for k in word) + "]"
+def entity_sset(kind, value, depth):
+    """The simplicial set an entity stands for, or None for other kinds.
+
+    A simplicial set is itself; a category or groupoid is nerved to
+    `depth`, a group through its one-object groupoid, and generated
+    names are sanitized so the result prints as document text.
+    """
+    if kind == "sset":
+        return value
+    if kind == "group":
+        value = one_object_groupoid(value)
+    elif kind not in ("category", "groupoid"):
+        return None
+    return sanitize_sset(nerve(value, depth))
+
+
+def ref_text(r):
+    """A simplex reference as document text: `[k ...] gen`."""
+    return "[" + " ".join(str(k) for k in r.word) + "] " + r.gen
 
 
 def _print_sset(out, name, S):
@@ -836,7 +849,7 @@ def _print_sset(out, name, S):
         for g in level:
             if g in S.face_table:
                 for k, r in enumerate(S.face_table[g]):
-                    out.append(f"  face {g} {k} -> {_word_text(r.word)} {r.gen};")
+                    out.append(f"  face {g} {k} -> {ref_text(r)};")
     out.append("}")
 
 
@@ -844,13 +857,7 @@ def _print_category(out, kind, name, C):
     ids = set(C.identities.values())
     # identity names are implicit in the text format, so composite values
     # that hit an identity are spelled with the parser's auto names
-    taken = {m for m in C.morphisms if m not in ids}
-    auto = {}
-    for a in C.objects:
-        nm = f"id_{a}"
-        while nm in taken or nm in auto.values():
-            nm = nm + "_"
-        auto[a] = nm
+    auto = identity_names(C.objects, (m for m in C.morphisms if m not in ids))
     rename = {C.identities[a]: auto[a] for a in C.objects}
 
     out.append(f"{kind} {name} {{")
@@ -894,7 +901,7 @@ def _print_map(out, name, f, meta):
     for level in f.source.gens:
         for g in level:
             r = f.assign[g]
-            out.append(f"  {g} -> {_word_text(r.word)} {r.gen};")
+            out.append(f"  {g} -> {ref_text(r)};")
     out.append("}")
 
 

@@ -157,7 +157,7 @@ def test_action_groupoid_shapes():
 
 def test_trivial_action_gives_the_group_back():
     AG = action_groupoid(trivial_action())
-    assert categories_isomorphic(AG, one_object_groupoid(cyclic_group(3))) is not None
+    assert categories_isomorphic(AG, one_object_groupoid(cyclic_group(3)))
 
 
 def test_swap_action_groupoid_is_connected():
@@ -280,7 +280,7 @@ def test_orbit_groupoid_extremes():
     S3 = symmetric_group(3)
     whole = orbit_groupoid(S3, S3.elements)
     assert len(whole.objects) == 1
-    assert categories_isomorphic(whole, one_object_groupoid(S3)) is not None
+    assert categories_isomorphic(whole, one_object_groupoid(S3))
 
     free = orbit_groupoid(S3, ["p012"])
     assert len(free.objects) == 6
@@ -321,11 +321,11 @@ def test_functors_from_a_point_recover_the_target():
     pt = as_groupoid(discrete_category(["x"]))
     G = one_object_groupoid(cyclic_group(3))
     F = functor_groupoid(pt, G)
-    assert categories_isomorphic(F, G) is not None
+    assert categories_isomorphic(F, G)
 
     AG = action_groupoid(swap_action())
     F2 = functor_groupoid(pt, AG)
-    assert categories_isomorphic(F2, AG) is not None
+    assert categories_isomorphic(F2, AG)
 
 
 def test_functor_groupoid_bz2_to_bz3():

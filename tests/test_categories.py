@@ -22,6 +22,7 @@ from finsimp.categories import (
 )
 from finsimp.groups import cyclic_group, one_object_groupoid
 from finsimp.simplicial import (
+    DimensionError,
     SimplexRef,
     SimplicialSet,
     TruncationError,
@@ -94,6 +95,12 @@ def test_nerve_truncation_flags(corpus):
     )
     for name, C, _ in corpus:
         assert nerve(C, 4).truncated == flags[name], name
+
+
+def test_nerve_depth_above_max_dim_is_rejected():
+    with pytest.raises(DimensionError, match="nerve depth 10 exceeds the supported maximum 9"):
+        nerve(terminal_category(), 10)
+    assert nerve(terminal_category(), 9).bound == 9
 
 
 def test_nerve_of_terminal_category():

@@ -5,11 +5,13 @@ test exercises the installed module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import finsimp
 from finsimp import cli
 from finsimp.cli import main
 from finsimp.dsl import parse_document
@@ -334,10 +336,14 @@ def test_stdin_document(sample, capsys, monkeypatch):
 
 
 def test_module_entry_point(sample):
+    # the child imports the same finsimp as this process, installed or not
+    src = os.path.dirname(os.path.dirname(finsimp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "finsimp.cli", "check-kan", sample, "Pair", "--depth", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout

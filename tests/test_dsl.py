@@ -234,6 +234,14 @@ def test_perm_group_with_a_repeated_point_is_located():
     assert diags == ((1, "not a permutation of 0..2: (0, 0, 2)"),)
 
 
+def test_dimension_above_max_dim_is_located():
+    diags = diagnostics_of("sset K {\n  dim 12;\n  gen 0 a;\n}\n")
+    assert diags == ((2, "dim 12 exceeds the supported maximum 9"),)
+    # without a dim statement the bound comes from the generators
+    diags = diagnostics_of("sset K {\n  gen 0 a;\n  gen 10 b;\n}\n")
+    assert diags[0] == (3, "gen 10 exceeds the supported maximum 9")
+
+
 def test_action_diagnostics():
     text = Z2 + "action A { group Z2; on a b; act g1 a = b; }\n"
     diags = diagnostics_of(text)
