@@ -458,15 +458,14 @@ def monoid_category(obj, elements, unit, mul):
     return FiniteCategory(C.objects, C.morphisms, C.src, C.tgt, fixed, C.identities)
 
 
-def disjoint_union_category(C, D, tags=("l", "r")):
-    """Side-by-side union with tagged names."""
-    lt, rt = tags
+def disjoint_union_category(C, D):
+    """Side-by-side union, names tagged `l_` (from C) and `r_` (from D)."""
 
     def l(x):
-        return f"{lt}_{x}"
+        return f"l_{x}"
 
     def r(x):
-        return f"{rt}_{x}"
+        return f"r_{x}"
 
     objects = [l(a) for a in C.objects] + [r(a) for a in D.objects]
     morphisms = [l(m) for m in C.morphisms] + [r(m) for m in D.morphisms]
@@ -481,14 +480,13 @@ def disjoint_union_category(C, D, tags=("l", "r")):
     return FiniteCategory(objects, morphisms, src, tgt, comp, identities)
 
 
-def join_categories(C, D, tags=("l", "r")):
+def join_categories(C, D):
     """Disjoint union plus exactly one arrow from each C-object to each D-object.
 
     The bridge arrows compose by collapsing: any composite through a
     bridge is the bridge between the outer endpoints.
     """
-    U = disjoint_union_category(C, D, tags)
-    lt, rt = tags
+    U = disjoint_union_category(C, D)
     bridge = {}
     for a in C.objects:
         for b in D.objects:
@@ -498,16 +496,16 @@ def join_categories(C, D, tags=("l", "r")):
     src = dict(U.src)
     tgt = dict(U.tgt)
     for (a, b), m in bridge.items():
-        src[m] = f"{lt}_{a}"
-        tgt[m] = f"{rt}_{b}"
+        src[m] = f"l_{a}"
+        tgt[m] = f"r_{b}"
     comp = dict(U.comp)
     for (a, b), m in bridge.items():
         for f in C.morphisms:
             if C.tgt[f] == a:
-                comp[(m, f"{lt}_{f}")] = bridge[(C.src[f], b)]
+                comp[(m, f"l_{f}")] = bridge[(C.src[f], b)]
         for g in D.morphisms:
             if D.src[g] == b:
-                comp[(f"{rt}_{g}", m)] = bridge[(a, D.tgt[g])]
+                comp[(f"r_{g}", m)] = bridge[(a, D.tgt[g])]
     return FiniteCategory(objects, morphisms, src, tgt, comp, U.identities)
 
 

@@ -17,7 +17,10 @@ so the cardinality bookkeeping is exact:
 * The slice of p : K -> S in dimension n is the set of maps from the
   join of the standard n-simplex with K into S restricting to p; faces
   and degeneracies precompose with coface/codegeneracy joined with the
-  identity of K.  Coslices are dual.
+  identity of K.  Coslices are dual.  Slices, coslices and the mapping
+  spaces of `limits` are one construction, `_family_maps`: pinned maps
+  out of a family of shapes over the standard simplices, with the
+  induced cofaces and codegeneracies built once per (n, k).
 """
 
 from __future__ import annotations
@@ -286,36 +289,55 @@ def product_projections(S, T):
 # Slices and coslices.
 
 
+def _family_maps(S, depth, induced, pin):
+    """The simplicial set of pinned maps from a family of shapes into S, to `depth`.
+
+    `induced(theta)` is the family's map for a map theta of standard
+    simplices (theta joined with, or multiplied by, an identity), and
+    level n lists the maps from the shape over the n-simplex into S
+    that agree with `pin(n)`, in enumeration order.  Faces and
+    degeneracies precompose with the induced cofaces and codegeneracies,
+    each built once.  Returns (sset, levels, to_ref) as from_level_data.
+    """
+    levels = [
+        enumerate_maps(induced(identity_map(standard_simplex(n))).source, S, fixed=pin(n))
+        for n in range(depth + 1)
+    ]
+    coface = {
+        (n, k): induced(coface_map(n, k)) for n in range(1, depth + 1) for k in range(n + 1)
+    }
+    codegeneracy = {
+        (n, k): induced(codegeneracy_map(n + 1, k)) for n in range(depth) for k in range(n + 1)
+    }
+    sset, to_ref = from_level_data(
+        levels,
+        lambda n, k, F: compose(F, coface[(n, k)]),
+        lambda n, k, F: compose(F, codegeneracy[(n, k)]),
+    )
+    return sset, levels, to_ref
+
+
 def _cone_maps(p, depth, under):
     """Level elements and simplicial set of the slice, or the coslice when `under`.
 
     Level n holds the maps (simplex * K) -> S, or (K * simplex) -> S,
-    restricting to p on K; faces and degeneracies precompose with the
-    coface or codegeneracy joined on the same side with the identity
-    of K.
+    restricting to p on K.
     """
     K, S = p.source, p.target
     if depth < 0 or depth > MAX_DIM:
         what = "coslice" if under else "slice"
         raise DimensionError(f"{what} depth {depth} outside 0..{MAX_DIM}")
+    id_K = identity_map(K)
 
     def joined(simplex_part, k_part):
         return (k_part, simplex_part) if under else (simplex_part, k_part)
 
-    levels = []
-    for n in range(depth + 1):
+    def pin(n):
         parts = join_parts(*joined(standard_simplex(n), K))
-        k_names = parts.left if under else parts.right
-        pin = {name: p.assign[y] for y, name in k_names.items()}
-        levels.append(enumerate_maps(parts.sset, S, fixed=pin))
+        return {name: p.assign[y] for y, name in (parts.left if under else parts.right).items()}
 
-    def face_fn(n, k, F):
-        return compose(F, join_of_maps(*joined(coface_map(n, k), identity_map(K))))
-
-    def degeneracy_fn(n, k, F):
-        return compose(F, join_of_maps(*joined(codegeneracy_map(n + 1, k), identity_map(K))))
-
-    sset, to_ref = from_level_data(levels, face_fn, degeneracy_fn, truncated=True)
+    induced = lambda theta: join_of_maps(*joined(theta, id_K))
+    sset, levels, to_ref = _family_maps(S, depth, induced, pin)
     vertex_of = {to_ref[(0, F)].gen: F for F in levels[0]}
     return sset, levels, vertex_of
 

@@ -2,7 +2,8 @@
 
 The mapping space between two vertices is modelled on cylinders: its
 n-simplices are the maps from (standard n-simplex) x (edge) that
-collapse the two ends of the cylinder to the chosen vertices.  A
+collapse the two ends of the cylinder to the chosen vertices, built
+by the pinned-maps construction of slices (constructions._family_maps).  A
 vertex is final when every sphere ending at it fills, up to the
 requested depth; limits are final vertices of the slice, colimits
 initial vertices of the coslice.  Everything reports witnesses.
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import (
+    _family_maps,
     coslice_data,
     left_cone,
     product_of_maps,
@@ -25,11 +27,7 @@ from .simplicial import (
     SimplexRef,
     SimplicialMap,
     TruncationError,
-    codegeneracy_map,
-    coface_map,
-    compose,
     enumerate_maps,
-    from_level_data,
     identity_map,
     simplex_boundary,
     standard_simplex,
@@ -58,29 +56,17 @@ def mapping_space(C, x, y, depth):
             f"mapping space to depth {depth} needs simplices past the window bound {C.bound}"
         )
     edge = standard_simplex(1)
+    id_edge = identity_map(edge)
+    ends = {"0": x, "1": y}
 
-    def end_pin(parts):
+    def end_pin(n):
         pin = {}
-        for name, (r1, r2) in parts.pairs.items():
-            if r2.gen == "0":
-                pin[name] = SimplexRef(tuple(range(r1.dim - 1, -1, -1)), x, r1.dim)
-            elif r2.gen == "1":
-                pin[name] = SimplexRef(tuple(range(r1.dim - 1, -1, -1)), y, r1.dim)
+        for name, (r1, r2) in product_parts(standard_simplex(n), edge).pairs.items():
+            if r2.gen in ends:
+                pin[name] = SimplexRef(tuple(range(r1.dim - 1, -1, -1)), ends[r2.gen], r1.dim)
         return pin
 
-    levels = []
-    for n in range(depth + 1):
-        parts = product_parts(standard_simplex(n), edge)
-        levels.append(enumerate_maps(parts.sset, C, fixed=end_pin(parts)))
-
-    def face_fn(n, k, F):
-        return compose(F, product_of_maps(coface_map(n, k), identity_map(edge)))
-
-    def degeneracy_fn(n, k, F):
-        return compose(F, product_of_maps(codegeneracy_map(n + 1, k), identity_map(edge)))
-
-    sset, _ = from_level_data(levels, face_fn, degeneracy_fn, truncated=True)
-    return sset
+    return _family_maps(C, depth, lambda theta: product_of_maps(theta, id_edge), end_pin)[0]
 
 
 def pi0(S):

@@ -228,7 +228,8 @@ def face_index(S, n, skip=None):
     A simplex z is filed under (d_k z for k in 0..n, k != skip), so
     with `skip` None the key is its full face tuple, and with skip = i
     the key is the tuple a map out of the (n, i) horn gives on its
-    facets.  Each list keeps the order of simplices(S, n).  Memoised
+    facets.  A vertex has no faces, so at n = 0 every vertex is filed
+    under ().  Each list keeps the order of simplices(S, n).  Memoised
     per (n, skip) on S.
     """
     memo = S._index_memo
@@ -238,7 +239,8 @@ def face_index(S, n, skip=None):
         return hit
     table = {}
     for z in simplices(S, n):
-        table.setdefault(tuple(face(S, k, z) for k in range(n + 1) if k != skip), []).append(z)
+        faces = tuple(face(S, k, z) for k in range(n + 1) if n and k != skip)
+        table.setdefault(faces, []).append(z)
     memo[key] = table
     return table
 
@@ -652,22 +654,12 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
         if r.dim != A.gen_dim[g]:
             raise ValueError(f"fixed assignment for '{g}' has wrong dimension")
 
-    if ngens == 0:
-        return [SimplicialMap(A, B, {})]
-
-    if B.bound < 0:
-        return []
-    vertex_pool = sorted((SimplexRef((), v, 0) for v in B.gens[0]), key=ref_key)
     results = []
     assign = {}
 
     def candidates(g):
-        n = A.gen_dim[g]
-        if n == 0:
-            pool = vertex_pool
-        else:
-            req = tuple(word_apply(r.word, assign[r.gen]) for r in A.face_table[g])
-            pool = face_index(B, n).get(req, ())
+        req = tuple(word_apply(r.word, assign[r.gen]) for r in A.face_table.get(g, ()))
+        pool = face_index(B, A.gen_dim[g]).get(req, ())
         if g in fixed:
             want = fixed[g]
             pool = [want] if want in pool else []
@@ -680,10 +672,8 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
             if g not in assign and all(d in assign for d in deps[g]):
                 yield g
 
-    def search():
-        if len(assign) == ngens:
-            results.append(dict(assign))
-            return len(results) if limit is not None and len(results) >= limit else None
+    def next_frame():
+        """(generator, candidate iterator) with the fewest candidates; None at a dead end."""
         best = None
         for g in ready_gens():
             cands = candidates(g)
@@ -692,16 +682,30 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
                 best = (score, g, cands)
                 if score[0] == 0:
                     return None
-        _, g, cands = best
-        for r in cands:
-            assign[g] = r
-            stop = search()
-            del assign[g]
-            if stop is not None:
-                return stop
-        return None
+        return best[1], iter(best[2])
 
-    search()
+    # depth-first search; the stack holds each assigned generator with
+    # its untried candidates, in assignment order
+    stack = []
+    while True:
+        if len(assign) < ngens:
+            frame = next_frame()
+            if frame is not None:
+                stack.append(frame)
+        else:
+            results.append(dict(assign))
+            if limit is not None and len(results) >= limit:
+                break
+        while stack:
+            g, cands = stack[-1]
+            r = next(cands, None)
+            if r is not None:
+                assign[g] = r
+                break
+            assign.pop(g, None)
+            stack.pop()
+        if not stack:
+            break
     maps = [SimplicialMap(A, B, a) for a in results]
     if limit is None:
         maps.sort(key=lambda f: tuple(ref_key(f.assign[g]) for g in all_gens))
@@ -717,115 +721,66 @@ def find_isomorphism(A, B):
     """
     if A.bound != B.bound or A.size_vector() != B.size_vector():
         return None
-    levels = [list(level) for level in A.gens]
+    flat = [g for level in A.gens for g in level]
     phi = {}
     used = set()
 
-    b_index = {}
-    for n in range(1, B.bound + 1):
-        table = {}
-        for g in B.gens[n]:
-            table.setdefault(B.face_table[g], []).append(g)
-        for v in table.values():
-            v.sort()
-        b_index[n] = table
-
-    flat = [g for level in levels for g in level]
-
     def candidates(g):
-        n = A.gen_dim[g]
-        if n == 0:
-            return [h for h in sorted(B.gens[0]) if h not in used]
-        req = tuple(
-            SimplexRef(r.word, phi[r.gen], r.dim) for r in A.face_table[g]
-        )
-        return [h for h in b_index[n].get(req, ()) if h not in used]
+        req = tuple(SimplexRef(r.word, phi[r.gen], r.dim) for r in A.face_table.get(g, ()))
+        matches = face_index(B, A.gen_dim[g]).get(req, ())
+        return iter([z.gen for z in matches if not z.word and z.gen not in used])
 
-    def search(pos):
-        if pos == len(flat):
-            return True
-        g = flat[pos]
-        for h in candidates(g):
-            phi[g] = h
-            used.add(h)
-            if search(pos + 1):
-                return True
-            del phi[g]
-            used.discard(h)
-        return False
-
-    if not search(0):
-        return None
+    # depth-first over flat; stack[p] holds the untried candidates for flat[p]
+    stack = []
+    while len(phi) < len(flat):
+        stack.append(candidates(flat[len(phi)]))
+        while True:
+            g = flat[len(stack) - 1]
+            if g in phi:
+                used.discard(phi.pop(g))
+            h = next(stack[-1], None)
+            if h is not None:
+                phi[g] = h
+                used.add(h)
+                break
+            stack.pop()
+            if not stack:
+                return None
     assign = {g: SimplexRef((), phi[g], A.gen_dim[g]) for g in flat}
     return SimplicialMap(A, B, assign)
 
 
-def from_level_data(levels, face_fn, degeneracy_fn, truncated=True, name_prefix="c"):
+def from_level_data(levels, face_fn, degeneracy_fn, truncated=True):
     """Build a simplicial set from raw element lists with face/degeneracy callbacks.
 
     `levels[n]` lists the n-dimensional elements (hashable, order fixed
     by the caller); `face_fn(n, k, e)` and `degeneracy_fn(n, k, e)` give
     d_k : levels[n] -> levels[n-1] and s_k : levels[n] -> levels[n+1].
-    An element is degenerate iff it equals s_k(d_k(e)) for some k; the
-    non-degenerate ones become generators, and faces are re-expressed in
-    normal form by stripping degeneracies.
+    Every face of an element must itself be listed.  An element is
+    degenerate iff it equals s_k(d_k(e)) for some k < n, and then its
+    normal form is s_k applied to that of d_k(e) for the first such k;
+    the non-degenerate ones become generators c<n>_<i>, numbered in
+    level order, with faces looked up one level down.
 
-    Returns (sset, to_ref) where to_ref maps every element to its
+    Returns (sset, to_ref) where to_ref maps every (n, element) to its
     normal-form simplex.
     """
-    bound = len(levels) - 1
     to_ref = {}
     gens_by_dim = []
     faces = {}
-    for n in range(bound + 1):
-        level_gens = []
-        for e in levels[n]:
-            _, core_n, _ = _strip_to_core(n, e, face_fn, degeneracy_fn)
-            if core_n == n:
-                g = f"{name_prefix}{n}_{len(level_gens)}"
-                level_gens.append((g, e))
+    for n, level in enumerate(levels):
+        names = []
+        for e in level:
+            for k in range(n):
+                d = face_fn(n, k, e)
+                if degeneracy_fn(n - 1, k, d) == e:
+                    to_ref[(n, e)] = word_apply((k,), to_ref[(n - 1, d)])
+                    break
+            else:
+                g = f"c{n}_{len(names)}"
+                names.append(g)
+                if n:
+                    faces[g] = tuple(to_ref[(n - 1, face_fn(n, k, e))] for k in range(n + 1))
                 to_ref[(n, e)] = SimplexRef((), g, n)
-        gens_by_dim.append([g for g, _ in level_gens])
-        for g, e in level_gens:
-            if n == 0:
-                continue
-            refs = []
-            for k in range(n + 1):
-                fe = face_fn(n, k, e)
-                refs.append(_element_ref(n - 1, fe, to_ref, face_fn, degeneracy_fn))
-            faces[g] = tuple(refs)
-    S = SimplicialSet(gens_by_dim, faces, truncated=truncated)
-    full = {}
-    for n in range(bound + 1):
-        for e in levels[n]:
-            full[(n, e)] = _element_ref(n, e, to_ref, face_fn, degeneracy_fn)
-    return S, full
-
-
-def _strip_to_core(n, e, face_fn, degeneracy_fn):
-    """Peel degeneracies off an element until it is non-degenerate.
-
-    Returns (word, core_dim, core) with word outermost-first, so that
-    applying the word's degeneracies to the core gives back e.
-    """
-    word = []
-    cur_n, cur = n, e
-    while cur_n > 0:
-        for k in range(cur_n):
-            d = face_fn(cur_n, k, cur)
-            if degeneracy_fn(cur_n - 1, k, d) == cur:
-                word.append(k)
-                cur_n, cur = cur_n - 1, d
-                break
-        else:
-            break
-    norm = ()
-    for k in reversed(word):
-        norm = insert_degeneracy(norm, k)
-    return norm, cur_n, cur
-
-
-def _element_ref(n, e, to_ref, face_fn, degeneracy_fn):
-    word, core_n, core = _strip_to_core(n, e, face_fn, degeneracy_fn)
-    base = to_ref[(core_n, core)]
-    return SimplexRef(word, base.gen, n)
+        gens_by_dim.append(names)
+    return SimplicialSet(gens_by_dim, faces, truncated=truncated), to_ref

@@ -204,6 +204,12 @@ def test_categories_isomorphic_positive_and_negative(corpus):
     assert not categories_isomorphic(by_name["arrow"], by_name["walking_iso"])
 
 
+def test_isomorphism_search_is_not_bounded_by_the_recursion_limit():
+    # one search level per object: 1200 levels exceed Python's default limit
+    D = discrete_category([f"o{i}" for i in range(1200)])
+    assert categories_isomorphic(D, D)
+
+
 def test_disjoint_union_and_join_categories_are_valid(corpus):
     by_name = {name: C for name, C, _ in corpus}
     for left, right in [("terminal", "bz2"), ("arrow", "chain3")]:

@@ -240,6 +240,12 @@ def test_partial_face_index_matches_linear_scan(corpus):
                 assert face_index(S, n, skip) is index
 
 
+def test_face_index_files_every_vertex_under_the_empty_key():
+    for S in [standard_simplex(2), horn(3, 1)[0], discrete_simplicial_set(["b", "a"])]:
+        assert face_index(S, 0) == {(): list(simplices(S, 0))}
+    assert face_index(EMPTY, 0) == {}
+
+
 def test_validate_accepts_standard_family():
     for n in range(5):
         assert validate(standard_simplex(n)) == []
@@ -369,6 +375,14 @@ def test_sphere_maps_include_the_vertex_swap():
     assert "10" in swap
 
 
+def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
+    # one search level per generator: 1500 levels exceed Python's default limit
+    A = discrete_simplicial_set([f"v{i}" for i in range(1500)])
+    maps = enumerate_maps(A, standard_simplex(0))
+    assert len(maps) == 1
+    assert set(maps[0].assign.values()) == {SimplexRef((), "0", 0)}
+
+
 # --- isomorphism search -------------------------------------------------------
 
 def test_isomorphism_with_renamed_copy():
@@ -427,3 +441,33 @@ def test_from_level_data_round_trips_a_simplex():
     # degenerate elements resolve to degenerate refs
     deg = degeneracy(S, 0, S.generator("01"))
     assert to_ref[(2, deg)].word == (0,)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [standard_simplex(2), standard_simplex(3), horn(2, 0)[0], horn(3, 1)[0]],
+    ids=["simplex2", "simplex3", "horn20", "horn31"],
+)
+def test_from_level_data_recovers_the_normal_form(S):
+    top = S.bound + 2
+    levels = [simplices(S, n) for n in range(top + 1)]
+    built, to_ref = from_level_data(
+        levels,
+        lambda n, k, e: face(S, k, e),
+        lambda n, k, e: degeneracy(S, k, e),
+        truncated=False,
+    )
+    rename = {to_ref[(n, z)].gen: z.gen for n in range(top + 1) for z in levels[n] if not z.word}
+    for n in range(top + 1):
+        for z in levels[n]:
+            assert to_ref[(n, z)].word == z.word
+            assert rename[to_ref[(n, z)].gen] == z.gen
+    assert [sorted(rename[g] for g in level) for level in built.gens[: S.bound + 1]] == [
+        sorted(level) for level in S.gens
+    ]
+    assert not any(built.gens[S.bound + 1:])
+    faces = {
+        rename[g]: tuple(SimplexRef(r.word, rename[r.gen], r.dim) for r in refs)
+        for g, refs in built.face_table.items()
+    }
+    assert faces == S.face_table
