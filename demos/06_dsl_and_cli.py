@@ -8,6 +8,7 @@ can be piped straight back in.
 
 import contextlib
 import io
+import os
 import tempfile
 
 from finsimp import parse_document, print_document, DslParseError
@@ -72,3 +73,5 @@ buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     main(["join", path, "Edge", "Edge", "--json"])
 print("\n".join(buf.getvalue().splitlines()[:6]))
+
+os.remove(path)

@@ -1,11 +1,13 @@
 """Horn filling, Kan and quasi-category checks, lifting problems.
 
 Everything here is brute force over the finite simplex sets: a horn
-map is an honest simplicial map out of a horn, a filler is a simplex
-whose faces match it, and fibration checks enumerate commuting squares
-against horn or boundary inclusions and search for diagonal lifts.
-Fillers of horns and spheres are looked up in face_index(K, n, skip),
-and every horn check runs the one scan of horn_scan.
+map is a tuple of compatible facet values (simplicial.facet_tuples), a
+filler is a simplex whose faces match it, and fibration checks
+enumerate commuting squares against horn or boundary inclusions and
+search for diagonal lifts.  Fillers of horns and spheres are looked up
+in face_index(K, n, skip), and every horn check runs the one scan of
+horn_scan.  A full SimplicialMap is built only for a witness: the
+failing map that enumerate_maps would list first (first_facet_map).
 
 Checks on a truncated window refuse to look past its bound; on a
 complete set any depth is allowed because everything above the bound
@@ -23,7 +25,11 @@ from .simplicial import (
     enumerate_maps,
     face,
     face_index,
+    facet_map,
+    facet_tuples,
+    first_facet_map,
     horn,
+    map_key,
     simplex_boundary,
     standard_simplex,
     word_apply,
@@ -122,9 +128,9 @@ def check_depth(N, what, *sets):
 
 
 def horn_maps(K, n, i):
-    """All maps from the (n, i) horn into K, deterministically ordered."""
-    H, _ = horn(n, i)
-    return [HornMap(n, i, f) for f in enumerate_maps(H, K)]
+    """All maps from the (n, i) horn into K, in enumerate_maps order."""
+    maps = sorted((facet_map(K, n, i, xs) for xs in facet_tuples(K, n, i)), key=map_key)
+    return [HornMap(n, i, f) for f in maps]
 
 
 def horn_fillers(K, hm):
@@ -143,16 +149,17 @@ def horn_scan(K, N, inner, ok):
     """Check that every horn map into K up to dimension N has fillers passing `ok`.
 
     Scans all horns, or only the inner ones (0 < i < n) when `inner` is
-    set, n ascending, then i ascending, then horn maps in horn_maps
-    order, so the witness of a failure is reproducible.  The first map
-    whose fillers fail ok(fillers) is the witness, and `count` its
-    number of fillers.
+    set, n ascending, then i ascending.  The witness of a failure is the
+    first map in horn_maps order, within the first failing (n, i), whose
+    fillers fail ok(fillers), and `count` its number of fillers.
     """
     for n, i in _horn_shapes(N, inner):
-        for hm in horn_maps(K, n, i):
-            fillers = matching_simplices(K, hm.assignment.assign, n, i)
-            if not ok(fillers):
-                return CheckResult(False, hm, N, len(fillers))
+        fillers = face_index(K, n, i)
+        found = first_facet_map(K, n, i, (
+            (xs, len(zs)) for xs in facet_tuples(K, n, i) if not ok(zs := fillers.get(xs, ()))
+        ))
+        if found is not None:
+            return CheckResult(False, HornMap(n, i, found[0]), N, found[1])
     return CheckResult(True, None, N)
 
 
@@ -233,17 +240,27 @@ def _lifting_check(p, N, shapes):
 
     Enumerates every map into the source together with every simplex
     of the target filling its image and looks for a filler upstairs
-    lying over it; the witness of a failure is the full unsolvable
-    square.
+    lying over it.  The witness of a failure is the full unsolvable
+    square, with the first failing top map in enumerate_maps order and
+    its first unliftable simplex below.
     """
     X, Y = p.source, p.target
     for n, i in shapes:
-        A, incl = simplex_boundary(n) if i is None else horn(n, i)
-        for top in enumerate_maps(A, X):
-            for zY in matching_simplices(Y, compose(p, top).assign, n, i):
-                if not any(p.apply(zX) == zY for zX in matching_simplices(X, top.assign, n, i)):
-                    bottom = _simplex_map_from_simplex(n, Y, zY)
-                    return CheckResult(False, LiftingProblem(incl, p, top, bottom), N)
+        fillers_x, fillers_y = face_index(X, n, i), face_index(Y, n, i)
+
+        def unliftable(xs):
+            over = {p.apply(zX) for zX in fillers_x.get(xs, ())}
+            below = fillers_y.get(tuple(p.apply(x) for x in xs), ())
+            return next((zY for zY in below if zY not in over), None)
+
+        found = first_facet_map(X, n, i, (
+            (xs, zY) for xs in facet_tuples(X, n, i) if (zY := unliftable(xs)) is not None
+        ))
+        if found is not None:
+            top, zY = found
+            incl = (simplex_boundary(n) if i is None else horn(n, i))[1]
+            bottom = _simplex_map_from_simplex(n, Y, zY)
+            return CheckResult(False, LiftingProblem(incl, p, top, bottom), N)
     return CheckResult(True, None, N)
 
 

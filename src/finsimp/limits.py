@@ -22,14 +22,15 @@ from .constructions import (
     right_cone,
     slice_data,
 )
-from .lifting import FinalityResult, check_depth, matching_simplices
+from .lifting import FinalityResult, check_depth
 from .simplicial import (
     SimplexRef,
     SimplicialMap,
     TruncationError,
-    enumerate_maps,
+    face_index,
+    facet_tuples,
+    first_facet_map,
     identity_map,
-    simplex_boundary,
     standard_simplex,
 )
 
@@ -96,25 +97,29 @@ def pi0(S):
 
 
 def _extension_check(C, v, N, pinned_vertex):
+    """Every sphere sending vertex pinned_vertex(n) to v fills, n = 1..N.
+
+    The witness is the first unfillable sphere map in enumerate_maps order.
+    """
     _require_vertex(C, v)
     check_depth(N, "finality check", C)
     for n in range(1, N + 1):
-        B, _ = simplex_boundary(n)
-        pin = {pinned_vertex(n): C.generator(v)}
-        for t in enumerate_maps(B, C, fixed=pin):
-            if not matching_simplices(C, t.assign, n):
-                return FinalityResult(False, t, N)
+        fillers = face_index(C, n)
+        spheres = facet_tuples(C, n, pin=(pinned_vertex(n), C.generator(v)))
+        found = first_facet_map(C, n, None, ((xs, None) for xs in spheres if xs not in fillers))
+        if found is not None:
+            return FinalityResult(False, found[0], N)
     return FinalityResult(True, None, N)
 
 
 def is_final(C, v, N):
     """Every sphere with last vertex v extends to a simplex, up to depth N."""
-    return _extension_check(C, v, N, lambda n: str(n))
+    return _extension_check(C, v, N, lambda n: n)
 
 
 def is_initial(C, v, N):
     """Every sphere with first vertex v extends to a simplex, up to depth N."""
-    return _extension_check(C, v, N, lambda n: "0")
+    return _extension_check(C, v, N, lambda n: 0)
 
 
 @dataclass

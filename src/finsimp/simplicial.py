@@ -222,27 +222,95 @@ def simplices(S, n):
     return out
 
 
-def face_index(S, n, skip=None):
+def face_index(S, n, skip=None, positions=None):
     """Lookup table from partial face tuples to the n-simplices having them.
 
-    A simplex z is filed under (d_k z for k in 0..n, k != skip), so
-    with `skip` None the key is its full face tuple, and with skip = i
-    the key is the tuple a map out of the (n, i) horn gives on its
-    facets.  A vertex has no faces, so at n = 0 every vertex is filed
-    under ().  Each list keeps the order of simplices(S, n).  Memoised
-    per (n, skip) on S.
+    A simplex z is filed under (d_k z for k in positions), ascending.
+    By default the positions are 0..n without `skip`, so with `skip`
+    None the key is its full face tuple, and with skip = i the key is
+    the tuple a map out of the (n, i) horn gives on its facets.  A
+    vertex has no faces, so at n = 0 every vertex is filed under ().
+    Each list keeps the order of simplices(S, n).  Memoised per
+    (n, positions) on S.
     """
+    if positions is None:
+        positions = tuple(k for k in range(n + 1) if n and k != skip)
     memo = S._index_memo
-    key = (n, skip)
+    key = (n, positions)
     hit = memo.get(key)
     if hit is not None:
         return hit
     table = {}
     for z in simplices(S, n):
-        faces = tuple(face(S, k, z) for k in range(n + 1) if n and k != skip)
-        table.setdefault(faces, []).append(z)
+        table.setdefault(tuple(face(S, k, z) for k in positions), []).append(z)
     memo[key] = table
     return table
+
+
+def _vertex(S, z, q):
+    """Vertex q of the simplex z."""
+    for p in range(z.dim, q, -1):
+        z = face(S, p, z)
+    for _ in range(q):
+        z = face(S, 0, z)
+    return z
+
+
+def facet_tuples(S, n, skip=None, pin=None):
+    """The maps out of the (n, skip) horn, or out of the n-sphere when skip is None.
+
+    Such a map is its tuple of facet values (x_k for k in 0..n,
+    k != skip), (n-1)-simplices with d_a x_b = d_{b-1} x_a for a < b
+    (Goerss-Jardine, I.3).  The tuples are streamed depth first, one
+    slot at a time, and each x_b is looked up in face_index(S, n - 1)
+    by its faces that the slots already filled fix, so the search has
+    depth n and every prefix extends.  `pin` = (p, v) keeps the maps
+    sending vertex p to the vertex v: the first facet containing p is
+    filled first, from the simplices with v at that vertex, and the
+    others follow in ascending k.  Within a slot, candidates keep the
+    order of simplices(S, n - 1).  The stream order is not
+    enumerate_maps order; facet_map and map_key rebuild that.
+    """
+    m = n - 1
+    slots = [k for k in range(n + 1) if k != skip]
+    if pin is not None:
+        p, v = pin
+        first = next(k for k in slots if k != p)
+        slots.remove(first)
+        slots.insert(0, first)
+    # x_b shares one face with each x_a filled before it: d_a x_b = d_{b-1} x_a
+    # for a < b, d_{a-1} x_b = d_b x_a for a > b; ties holds (face of x_b,
+    # place of x_a, face of x_a), sorted by face of x_b like the index key
+    plans = []
+    for j, b in enumerate(slots):
+        ties = sorted(
+            (a, t, b - 1) if a < b else (a - 1, t, b) for t, a in enumerate(slots[:j])
+        ) if m else []
+        index = face_index(S, m, positions=tuple(f for f, _, _ in ties))
+        plans.append((index, [(t, g) for _, t, g in ties]))
+    if pin is not None:
+        q = p if p < slots[0] else p - 1
+        index, ties = plans[0]
+        plans[0] = ({(): [z for z in index.get((), ()) if _vertex(S, z, q) == v]}, ties)
+    out = [slots.index(k) for k in sorted(slots)]
+
+    def candidates(xs):
+        index, ties = plans[len(xs)]
+        return iter(index.get(tuple(face(S, g, xs[t]) for t, g in ties), ()))
+
+    xs = []
+    stack = [candidates(xs)]
+    while stack:
+        x = next(stack[-1], None)
+        del xs[len(stack) - 1:]
+        if x is None:
+            stack.pop()
+            continue
+        xs.append(x)
+        if len(xs) == len(slots):
+            yield tuple(xs[t] for t in out)
+        else:
+            stack.append(candidates(xs))
 
 
 def validate(S):
@@ -624,7 +692,7 @@ def _search_order(A):
             if g in remaining[u]:
                 remaining[u].discard(g)
                 missing[u] -= 1
-    return order, deps
+    return order, deps, users
 
 
 def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
@@ -644,10 +712,9 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
     the found set itself deterministic).
     """
     fixed = dict(fixed or {})
-    order, deps = _search_order(A)
+    order, deps, users = _search_order(A)
     static_pos = {g: p for p, g in enumerate(order)}
     ngens = len(order)
-    all_gens = [g for n in range(A.bound + 1) for g in A.gens[n]]
     for g, r in fixed.items():
         if g not in A.gen_dim:
             raise ValueError(f"fixed assignment names unknown generator '{g}'")
@@ -656,8 +723,13 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
 
     results = []
     assign = {}
+    # candidates of ready generators, dropped when a dependency changes
+    cache = {}
 
     def candidates(g):
+        pool = cache.get(g)
+        if pool is not None:
+            return pool
         req = tuple(word_apply(r.word, assign[r.gen]) for r in A.face_table.get(g, ()))
         pool = face_index(B, A.gen_dim[g]).get(req, ())
         if g in fixed:
@@ -665,6 +737,7 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
             pool = [want] if want in pool else []
         if constrain is not None:
             pool = [r for r in pool if constrain(g, r)]
+        cache[g] = pool
         return pool
 
     def ready_gens():
@@ -698,6 +771,8 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
                 break
         while stack:
             g, cands = stack[-1]
+            for u in users[g]:
+                cache.pop(u, None)
             r = next(cands, None)
             if r is not None:
                 assign[g] = r
@@ -708,8 +783,56 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
             break
     maps = [SimplicialMap(A, B, a) for a in results]
     if limit is None:
-        maps.sort(key=lambda f: tuple(ref_key(f.assign[g]) for g in all_gens))
+        maps.sort(key=map_key)
     return maps
+
+
+def map_key(f):
+    """Sort key of enumerate_maps output: the values on the source's generators in declaration order."""
+    return tuple(ref_key(f.assign[g]) for level in f.source.gens for g in level)
+
+
+@lru_cache(maxsize=None)
+def _facet_plan(n, skip):
+    """The (n, skip) horn, or the n-sphere, and how facet values determine each generator.
+
+    For every generator in declaration order: the position in the
+    facet tuple of a facet containing it, and the faces, highest
+    first, that cut it out of that facet.
+    """
+    A = simplex_boundary(n)[0] if skip is None else horn(n, skip)[0]
+    slots = [k for k in range(n + 1) if k != skip]
+    plan = []
+    for level in A.gens:
+        for g in level:
+            verts = {int(c) for c in g}
+            t, k = next((t, k) for t, k in enumerate(slots) if k not in verts)
+            facet = [v for v in range(n + 1) if v != k]
+            plan.append((g, t, tuple(p for p in reversed(range(n)) if facet[p] not in verts)))
+    return A, tuple(plan)
+
+
+def facet_map(S, n, skip, xs):
+    """The map out of the (n, skip) horn, or the n-sphere, with facet tuple xs, as from enumerate_maps."""
+    A, plan = _facet_plan(n, skip)
+    assign = {}
+    for g, t, cuts in plan:
+        z = xs[t]
+        for p in cuts:
+            z = face(S, p, z)
+        assign[g] = z
+    return SimplicialMap(A, S, assign)
+
+
+def first_facet_map(S, n, skip, found):
+    """The (map, payload) of (facet tuple, payload) pairs that enumerate_maps lists first.
+
+    Streams `found` and keeps the map with the smallest map_key, so a
+    scan over facet_tuples reports the witness the generic search would
+    reach first.  None when `found` is empty.
+    """
+    maps = ((facet_map(S, n, skip, xs), payload) for xs, payload in found)
+    return min(maps, key=lambda pair: map_key(pair[0]), default=None)
 
 
 def find_isomorphism(A, B):

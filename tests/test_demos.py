@@ -5,8 +5,8 @@ exactly the text in `data/demos/<demo>.txt`, exit 0 and write nothing
 to stderr.  The recordings were taken once and are not regenerated, so
 a change to any printed verdict, size, witness or report fails here.
 Demo 06 writes its document to a temporary file whose name it prints;
-the test points TMPDIR at a fresh directory and writes that name as
-`<tmp>`.
+the test points TMPDIR at a fresh directory, writes that name as
+`<tmp>`, and checks that no demo leaves a file behind there.
 """
 
 import os
@@ -38,3 +38,4 @@ def test_demo_prints_recorded_output(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert out == (RECORDED / f"{demo.stem}.txt").read_text()
+    assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,13 @@
 """Horn filling, Kan/quasi-category checks, lifting problems, fibrations."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
-from finsimp.categories import is_groupoid, nerve
+from finsimp.categories import chain_category, is_groupoid, nerve, nerve_detect
+from finsimp.dsl import parse_document
 from finsimp.groups import cyclic_group, one_object_groupoid
 from finsimp.lifting import (
     HornMap,
@@ -17,10 +20,12 @@ from finsimp.lifting import (
     is_kan_fibration,
     is_quasicategory,
     is_trivial_fibration,
+    matching_simplices,
     solve_lift,
 )
 from finsimp.simplicial import (
     TruncationError,
+    codegeneracy_map,
     compose,
     constant_map,
     enumerate_maps,
@@ -29,6 +34,10 @@ from finsimp.simplicial import (
     simplex_boundary,
     standard_simplex,
     truncate,
+)
+
+EXTRA = parse_document(
+    json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())["documents"]["extra"]
 )
 
 
@@ -207,3 +216,91 @@ def test_fibration_result_shape():
     assert isinstance(res, FibrationResult)
     assert res.checked_to == 1
     assert bool(res)
+
+
+def test_kan_check_reaches_max_dim():
+    res = is_kan(standard_simplex(0), 9)
+    assert res.holds and res.checked_to == 9
+
+
+# --- witness order: the enumerate_maps scans the checks replaced ----------------
+
+def reference_horn_scan(K, N, inner, ok):
+    """(holds, witness assignment, checked_to, count), scanning enumerate_maps(horn(n, i))."""
+    for n in range(2 if inner else 1, N + 1):
+        for i in range(1, n) if inner else range(n + 1):
+            for f in enumerate_maps(horn(n, i)[0], K):
+                fillers = matching_simplices(K, f.assign, n, i)
+                if not ok(fillers):
+                    return False, (n, i, f.assign), N, len(fillers)
+    return True, None, N, None
+
+
+def reference_lifting_check(p, N, boundary):
+    """(holds, (top assignment, unliftable simplex)), scanning enumerate_maps of the shapes."""
+    X, Y = p.source, p.target
+    for n in range(1, N + 1):
+        for i in [None] if boundary else range(n + 1):
+            A = simplex_boundary(n)[0] if i is None else horn(n, i)[0]
+            for top in enumerate_maps(A, X):
+                for zY in matching_simplices(Y, compose(p, top).assign, n, i):
+                    if not any(p.apply(zX) == zY for zX in matching_simplices(X, top.assign, n, i)):
+                        return False, (top.assign, zY)
+    return True, None
+
+
+def scan_outcome(res):
+    witness = res.witness and (res.witness.n, res.witness.i, res.witness.assignment.assign)
+    return res.holds, witness, res.checked_to, res.count
+
+
+def witness_order_sets(corpus):
+    sets = [(name, nerve(C, 4)) for name, C, _ in corpus]
+    sets.append(("chain3", nerve(chain_category(3), 4)))
+    sets.append(("Twin", EXTRA.value("Twin")))
+    sets.append(("Horn", EXTRA.value("Horn")))
+    sets.append(("edge", standard_simplex(1)))
+    sets.append(("sphere2", simplex_boundary(2)[0]))
+    return sets
+
+
+def test_horn_checks_report_the_enumerate_maps_witness(corpus):
+    for name, K in witness_order_sets(corpus):
+        N = 3
+        assert scan_outcome(is_kan(K, N)) == reference_horn_scan(K, N, False, bool), name
+        assert scan_outcome(is_quasicategory(K, N)) == reference_horn_scan(K, N, True, bool), name
+        want = reference_horn_scan(K, N, True, lambda fillers: len(fillers) == 1)
+        assert scan_outcome(has_unique_inner_fillers(K, N)) == want, name
+        detected = nerve_detect(K, N)
+        if want[0]:
+            assert detected.reason is None or "inner horn" not in detected.reason, name
+        else:
+            n, i, _ = want[1]
+            many = "no filler" if want[3] == 0 else "multiple fillers"
+            assert detected.reason == f"inner horn ({n}, {i}) map with {many}", name
+
+
+def test_fibration_checks_report_the_enumerate_maps_witness(corpus):
+    point = standard_simplex(0)
+    maps = [
+        (name, constant_map(nerve(C, 3), point, "0")) for name, C, _ in corpus
+    ] + [
+        ("chain3", constant_map(nerve(chain_category(3), 3), point, "0")),
+        ("edge", constant_map(standard_simplex(1), point, "0")),
+        ("codegeneracy", codegeneracy_map(2, 0)),
+        ("identity", identity_map(standard_simplex(2))),
+        ("Fold", EXTRA.value("Fold")),
+        ("Crush", EXTRA.value("Crush")),
+    ]
+    for name, p in maps:
+        for check, boundary in [(is_kan_fibration, False), (is_trivial_fibration, True)]:
+            res = check(p, 2)
+            want = reference_lifting_check(p, 2, boundary)
+            assert res.holds == want[0], (name, check.__name__)
+            assert res.checked_to == 2
+            if not res.holds:
+                top, zY = want[1]
+                assert res.witness.top.assign == top, (name, check.__name__)
+                n = res.witness.bottom.source.bound
+                assert res.witness.bottom.assign["".join(map(str, range(n + 1)))] == zY
+                assert res.witness.validate() == []

@@ -1,15 +1,20 @@
 """Mapping spaces, components, finality, and (co)limits."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from finsimp.categories import (
+    chain_category,
     disjoint_union_category,
     nerve,
     poset_category,
 )
 from finsimp.constructions import product
+from finsimp.dsl import parse_document
 from finsimp.groups import cyclic_group, one_object_groupoid
-from finsimp.lifting import is_kan, is_quasicategory
+from finsimp.lifting import is_kan, is_quasicategory, matching_simplices
 from finsimp.limits import colimit, is_final, is_initial, limit, mapping_space, pi0
 from finsimp.simplicial import (
     EMPTY,
@@ -22,6 +27,7 @@ from finsimp.simplicial import (
     enumerate_maps,
     from_level_data,
     identity_map,
+    simplex_boundary,
     standard_simplex,
     truncate,
     validate,
@@ -146,6 +152,31 @@ def test_final_and_initial_agree_on_group_nerves():
             assert f.holds == i.holds
             # a sphere prescribing a wrong composite cannot fill
             assert f.holds == (depth == 1)
+
+
+def reference_extension_check(C, v, N, pinned):
+    """(holds, witness assignment), scanning enumerate_maps of the pinned spheres."""
+    for n in range(1, N + 1):
+        for t in enumerate_maps(simplex_boundary(n)[0], C, fixed={pinned(n): C.generator(v)}):
+            if not matching_simplices(C, t.assign, n):
+                return False, t.assign
+    return True, None
+
+
+def test_finality_reports_the_enumerate_maps_witness(corpus):
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    sets = [(name, nerve(C, 4)) for name, C, _ in corpus]
+    sets.append(("chain3", nerve(chain_category(3), 4)))
+    sets.append(("Twin", parse_document(golden["documents"]["extra"]).value("Twin")))
+    sets.append(("sphere2", simplex_boundary(2)[0]))
+    for name, C in sets:
+        for v in C.gens[0]:
+            for check, pinned in [(is_final, str), (is_initial, lambda n: "0")]:
+                res = check(C, v, 3)
+                want = reference_extension_check(C, v, 3, pinned)
+                got = res.holds, res.witness and res.witness.assign
+                assert got == want, (name, v, check.__name__)
+                assert res.checked_to == 3
 
 
 def test_finality_guards():

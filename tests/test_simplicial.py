@@ -3,9 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finsimp.categories import nerve
+from finsimp.lifting import HornMap, horn_maps
 from finsimp.simplicial import (
     EMPTY,
     DimensionError,
@@ -19,11 +20,14 @@ from finsimp.simplicial import (
     enumerate_maps,
     face,
     face_index,
+    facet_map,
+    facet_tuples,
     find_isomorphism,
     from_level_data,
     horn,
     identity_map,
     insert_degeneracy,
+    map_key,
     rename_generators,
     simplex_boundary,
     simplex_map_from_vertices,
@@ -381,6 +385,55 @@ def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
     maps = enumerate_maps(A, standard_simplex(0))
     assert len(maps) == 1
     assert set(maps[0].assign.values()) == {SimplexRef((), "0", 0)}
+
+
+@st.composite
+def small_simplicial_sets(draw):
+    """A valid bound-2 set: a few vertices, edges (loops allowed) and triangles.
+
+    Triangles are drawn from all face triples of 1-simplices, degenerate
+    ones included, with d_i y_j = d_{j-1} y_i for i < j, and may repeat,
+    so fillers can be missing or multiple.
+    """
+    verts = [f"v{j}" for j in range(draw(st.integers(1, 3)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)), max_size=4))
+    edges = [f"e{j}" for j in range(len(ends))]
+    faces = {e: (SimplexRef((), b, 0), SimplexRef((), a, 0)) for e, (a, b) in zip(edges, ends)}
+    skeleton = SimplicialSet([verts, edges], faces)
+    triples = [
+        ys for ys in itertools.product(simplices(skeleton, 1), repeat=3)
+        if all(face(skeleton, i, ys[j]) == face(skeleton, j - 1, ys[i]) for j in range(3) for i in range(j))
+    ]
+    tops = draw(st.lists(st.sampled_from(triples), max_size=4))
+    faces.update((f"t{j}", ys) for j, ys in enumerate(tops))
+    S = SimplicialSet([verts, edges, [f"t{j}" for j in range(len(tops))]], faces)
+    assert validate(S) == []
+    return S
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_simplicial_sets())
+def test_facet_tuples_are_the_maps_enumerate_maps_finds(S):
+    for n in (1, 2, 3):
+        for skip in [None, *range(n + 1)]:
+            A = simplex_boundary(n)[0] if skip is None else horn(n, skip)[0]
+            tuples = list(facet_tuples(S, n, skip))
+            assert len(set(tuples)) == len(tuples)
+            got = sorted((facet_map(S, n, skip, xs) for xs in tuples), key=map_key)
+            want = enumerate_maps(A, S)
+            assert [f.assign for f in got] == [f.assign for f in want]
+            if skip is not None:
+                assert horn_maps(S, n, skip) == [HornMap(n, skip, f) for f in want]
+        B = simplex_boundary(n)[0]
+        for p in range(n + 1):
+            for v in S.gens[0]:
+                pin = S.generator(v)
+                got = sorted(
+                    (facet_map(S, n, None, xs) for xs in facet_tuples(S, n, pin=(p, pin))),
+                    key=map_key,
+                )
+                want = enumerate_maps(B, S, fixed={str(p): pin})
+                assert [f.assign for f in got] == [f.assign for f in want]
 
 
 # --- isomorphism search -------------------------------------------------------
