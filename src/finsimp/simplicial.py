@@ -24,8 +24,8 @@ everything above the bound is degenerate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 MAX_DIM = 9
 
@@ -40,13 +40,13 @@ class TruncationError(ValueError):
     """Raised when a check would need simplices beyond a truncated set's bound."""
 
 
-@dataclass(frozen=True)
-class SimplexRef:
+class SimplexRef(NamedTuple):
     """A simplex in normal form: degeneracy word over a non-degenerate generator.
 
     `word` is strictly decreasing, outermost operator first, so
     SimplexRef((1, 0), "v", 2) is s_1 s_0 v.  `dim` is len(word) plus
-    the generator's dimension.
+    the generator's dimension.  A named tuple, so hashing and equality
+    run in C; refs are only ever compared with refs.
     """
 
     word: tuple
