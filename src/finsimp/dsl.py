@@ -513,6 +513,7 @@ class _Parser:
         cycles = []
         cur = None
         ok = True
+        repeat = None
         for tok in rest:
             if tok.text == "(":
                 if cur is not None:
@@ -525,6 +526,9 @@ class _Parser:
                     self._fail(tok.line, "unmatched ')'")
                     ok = False
                     break
+                if repeat is None and len(set(cur)) < len(cur):
+                    twice = next(v for v in cur if cur.count(v) > 1)
+                    repeat = (tok.line, f"cycle ({' '.join(map(str, cur))}) repeats {twice}")
                 cycles.append(cur)
                 cur = None
             elif tok.text == ",":
@@ -552,6 +556,9 @@ class _Parser:
             group = perm_group(degree, images)
         except ValueError as exc:
             self._fail(line, str(exc))
+            return
+        if repeat is not None:
+            self._fail(*repeat)
             return
         self.doc.entities[name] = ("group", group)
         self.doc.meta[name] = {}

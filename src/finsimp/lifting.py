@@ -1,13 +1,14 @@
 """Horn filling, Kan and quasi-category checks, lifting problems.
 
 Everything here is brute force over the finite simplex sets: a horn
-map is a tuple of compatible facet values (simplicial.facet_tuples), a
-filler is a simplex whose faces match it, and fibration checks
-enumerate commuting squares against horn or boundary inclusions and
-search for diagonal lifts.  Fillers of horns and spheres are looked up
-in face_index(K, n, skip), and every horn check runs the one scan of
-horn_scan.  A full SimplicialMap is built only for a witness: the
-failing map that enumerate_maps would list first (first_facet_map).
+map is a tuple of compatible facet values, streamed by the top-cell
+map search (simplicial.MapSearch), a filler is a simplex whose faces
+match it, and fibration checks enumerate commuting squares against
+horn or boundary inclusions and search for diagonal lifts.  Fillers of
+horns and spheres are looked up in face_index(K, n, skip), and every
+horn check runs the one scan of horn_scan.  A full SimplicialMap is
+built only for a witness: the failing map that enumerate_maps would
+list first (MapSearch.first).
 
 Checks on a truncated window refuse to look past its bound; on a
 complete set any depth is allowed because everything above the bound
@@ -19,17 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .simplicial import (
+    MapSearch,
     SimplicialMap,
     TruncationError,
     compose,
     enumerate_maps,
     face,
     face_index,
-    facet_map,
-    facet_tuples,
-    first_facet_map,
     horn,
-    map_key,
     simplex_boundary,
     standard_simplex,
     word_apply,
@@ -129,8 +127,7 @@ def check_depth(N, what, *sets):
 
 def horn_maps(K, n, i):
     """All maps from the (n, i) horn into K, in enumerate_maps order."""
-    maps = sorted((facet_map(K, n, i, xs) for xs in facet_tuples(K, n, i)), key=map_key)
-    return [HornMap(n, i, f) for f in maps]
+    return [HornMap(n, i, f) for f in enumerate_maps(horn(n, i)[0], K)]
 
 
 def horn_fillers(K, hm):
@@ -151,13 +148,13 @@ def horn_scan(K, N, inner, ok):
     Scans all horns, or only the inner ones (0 < i < n) when `inner` is
     set, n ascending, then i ascending.  The witness of a failure is the
     first map in horn_maps order, within the first failing (n, i), whose
-    fillers fail ok(fillers), and `count` its number of fillers.
+    fillers fail ok(fillers), and `count` its number of fillers.  Horn
+    maps stream as facet values, k descending: face_index keys reversed.
     """
     for n, i in _horn_shapes(N, inner):
         fillers = face_index(K, n, i)
-        found = first_facet_map(K, n, i, (
-            (xs, len(zs)) for xs in facet_tuples(K, n, i) if not ok(zs := fillers.get(xs, ()))
-        ))
+        search = MapSearch(horn(n, i)[0], K)
+        found = search.first((xs, len(zs)) for xs in search if not ok(zs := fillers.get(xs[::-1], ())))
         if found is not None:
             return CheckResult(False, HornMap(n, i, found[0]), N, found[1])
     return CheckResult(True, None, N)
@@ -187,8 +184,10 @@ def solve_lift(problem, find_all=False):
     The left map must send generators to non-degenerate simplices
     injectively (horn and boundary inclusions do); the lift is searched
     over maps from the left target pinned on the included part and
-    constrained to project correctly.  Returns a single map (or None),
-    or the full sorted list when find_all is set.
+    constrained to project correctly, by the top-cell search of
+    enumerate_maps.  Returns the full list, sorted by map_key, when
+    find_all is set, and otherwise its first map, the lift with the
+    smallest map_key (or None).
     """
     left, right, top, bottom = (
         problem.left,
@@ -253,9 +252,8 @@ def _lifting_check(p, N, shapes):
             below = fillers_y.get(tuple(p.apply(x) for x in xs), ())
             return next((zY for zY in below if zY not in over), None)
 
-        found = first_facet_map(X, n, i, (
-            (xs, zY) for xs in facet_tuples(X, n, i) if (zY := unliftable(xs)) is not None
-        ))
+        search = MapSearch((simplex_boundary(n) if i is None else horn(n, i))[0], X)
+        found = search.first((xs, zY) for xs in search if (zY := unliftable(xs[::-1])) is not None)
         if found is not None:
             top, zY = found
             incl = (simplex_boundary(n) if i is None else horn(n, i))[1]

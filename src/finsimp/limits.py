@@ -24,13 +24,13 @@ from .constructions import (
 )
 from .lifting import FinalityResult, check_depth
 from .simplicial import (
+    MapSearch,
     SimplexRef,
     SimplicialMap,
     TruncationError,
     face_index,
-    facet_tuples,
-    first_facet_map,
     identity_map,
+    simplex_boundary,
     standard_simplex,
 )
 
@@ -105,8 +105,8 @@ def _extension_check(C, v, N, pinned_vertex):
     check_depth(N, "finality check", C)
     for n in range(1, N + 1):
         fillers = face_index(C, n)
-        spheres = facet_tuples(C, n, pin=(pinned_vertex(n), C.generator(v)))
-        found = first_facet_map(C, n, None, ((xs, None) for xs in spheres if xs not in fillers))
+        spheres = MapSearch(simplex_boundary(n)[0], C, {str(pinned_vertex(n)): C.generator(v)})
+        found = spheres.first((xs, None) for xs in spheres if xs[::-1] not in fillers)
         if found is not None:
             return FinalityResult(False, found[0], N)
     return FinalityResult(True, None, N)

@@ -225,16 +225,19 @@ def simplices(S, n):
 def face_index(S, n, skip=None, positions=None):
     """Lookup table from partial face tuples to the n-simplices having them.
 
-    A simplex z is filed under (d_k z for k in positions), ascending.
-    By default the positions are 0..n without `skip`, so with `skip`
-    None the key is its full face tuple, and with skip = i the key is
-    the tuple a map out of the (n, i) horn gives on its facets.  A
-    vertex has no faces, so at n = 0 every vertex is filed under ().
-    Each list keeps the order of simplices(S, n).  Memoised per
-    (n, positions) on S.
+    A position is a face word: the strictly decreasing tuple of the
+    vertices an iterated face operator deletes, so (k,) is d_k, (3, 1)
+    is d_1 d_3 and () the simplex itself.  A simplex z is filed under
+    (d_w z for w in positions), a tuple of face words.  By default
+    the positions are the faces d_k, k in 0..n without `skip`,
+    ascending: with `skip` None the key is the full face tuple, and
+    with skip = i it is the tuple a map out of the (n, i) horn gives on
+    its facets.  A vertex has no faces, so at n = 0 every vertex is
+    filed under () by default.  Each list keeps the order of
+    simplices(S, n).  Memoised per (n, positions) on S.
     """
     if positions is None:
-        positions = tuple(k for k in range(n + 1) if n and k != skip)
+        positions = tuple((k,) for k in range(n + 1) if n and k != skip)
     memo = S._index_memo
     key = (n, positions)
     hit = memo.get(key)
@@ -242,75 +245,16 @@ def face_index(S, n, skip=None, positions=None):
         return hit
     table = {}
     for z in simplices(S, n):
-        table.setdefault(tuple(face(S, k, z) for k in positions), []).append(z)
+        table.setdefault(tuple([_face_word(S, w, z) for w in positions]), []).append(z)
     memo[key] = table
     return table
 
 
-def _vertex(S, z, q):
-    """Vertex q of the simplex z."""
-    for p in range(z.dim, q, -1):
-        z = face(S, p, z)
-    for _ in range(q):
-        z = face(S, 0, z)
+def _face_word(S, word, z):
+    """d_word z: the faces d_k for k in the strictly decreasing `word`, first to last."""
+    for k in word:
+        z = face(S, k, z)
     return z
-
-
-def facet_tuples(S, n, skip=None, pin=None):
-    """The maps out of the (n, skip) horn, or out of the n-sphere when skip is None.
-
-    Such a map is its tuple of facet values (x_k for k in 0..n,
-    k != skip), (n-1)-simplices with d_a x_b = d_{b-1} x_a for a < b
-    (Goerss-Jardine, I.3).  The tuples are streamed depth first, one
-    slot at a time, and each x_b is looked up in face_index(S, n - 1)
-    by its faces that the slots already filled fix, so the search has
-    depth n and every prefix extends.  `pin` = (p, v) keeps the maps
-    sending vertex p to the vertex v: the first facet containing p is
-    filled first, from the simplices with v at that vertex, and the
-    others follow in ascending k.  Within a slot, candidates keep the
-    order of simplices(S, n - 1).  The stream order is not
-    enumerate_maps order; facet_map and map_key rebuild that.
-    """
-    m = n - 1
-    slots = [k for k in range(n + 1) if k != skip]
-    if pin is not None:
-        p, v = pin
-        first = next(k for k in slots if k != p)
-        slots.remove(first)
-        slots.insert(0, first)
-    # x_b shares one face with each x_a filled before it: d_a x_b = d_{b-1} x_a
-    # for a < b, d_{a-1} x_b = d_b x_a for a > b; ties holds (face of x_b,
-    # place of x_a, face of x_a), sorted by face of x_b like the index key
-    plans = []
-    for j, b in enumerate(slots):
-        ties = sorted(
-            (a, t, b - 1) if a < b else (a - 1, t, b) for t, a in enumerate(slots[:j])
-        ) if m else []
-        index = face_index(S, m, positions=tuple(f for f, _, _ in ties))
-        plans.append((index, [(t, g) for _, t, g in ties]))
-    if pin is not None:
-        q = p if p < slots[0] else p - 1
-        index, ties = plans[0]
-        plans[0] = ({(): [z for z in index.get((), ()) if _vertex(S, z, q) == v]}, ties)
-    out = [slots.index(k) for k in sorted(slots)]
-
-    def candidates(xs):
-        index, ties = plans[len(xs)]
-        return iter(index.get(tuple(face(S, g, xs[t]) for t, g in ties), ()))
-
-    xs = []
-    stack = [candidates(xs)]
-    while stack:
-        x = next(stack[-1], None)
-        del xs[len(stack) - 1:]
-        if x is None:
-            stack.pop()
-            continue
-        xs.append(x)
-        if len(xs) == len(slots):
-            yield tuple(xs[t] for t in out)
-        else:
-            stack.append(candidates(xs))
 
 
 def validate(S):
@@ -406,16 +350,14 @@ def _subset_complex(n, tops):
     bound = max(by_dim)
     gens_by_dim = []
     faces = {}
-    name = lambda sub: "".join(str(v) for v in sub)
+    ref = {sub: SimplexRef((), "".join(map(str, sub)), len(sub) - 1) for sub in keep}
     for m in range(bound + 1):
         level = sorted(by_dim.get(m, []))
-        gens_by_dim.append([name(sub) for sub in level])
+        gens_by_dim.append([ref[sub].gen for sub in level])
         if m == 0:
             continue
         for sub in level:
-            faces[name(sub)] = tuple(
-                SimplexRef((), name(sub[:k] + sub[k + 1:]), m - 1) for k in range(m + 1)
-            )
+            faces[ref[sub].gen] = tuple(ref[sub[:k] + sub[k + 1:]] for k in range(m + 1))
     return SimplicialSet(gens_by_dim, faces)
 
 
@@ -649,190 +591,228 @@ def codegeneracy_map(n, k):
 # Map enumeration (the brute-force lifting engine's core).
 
 
-def _search_order(A):
-    """Static assignment order interleaving generators with their face closures.
+def _closed_pins(A, B, fixed):
+    """`fixed` extended to every face of a pinned generator; None when no map agrees with it."""
+    pins = dict(fixed)
+    for g in (g for level in reversed(A.gens) for g in level if g in pins):  # pins grows downwards
+        r = pins[g]
+        if r.gen not in B.gen_dim or B.gen_dim[r.gen] + len(r.word) != r.dim:
+            return None
+        for k, z in enumerate(A.face_table.get(g, ())):
+            v = face(B, k, r)
+            y = _face_word(B, z.word, v)
+            if word_apply(z.word, y) != v or pins.setdefault(z.gen, y) != y:
+                return None
+    return pins
 
-    Repeatedly picks a generator whose faces are all placed, preferring
-    one that completes the prerequisites of a not-yet-placed higher
-    generator (so consistency checks fire as early as possible), then
-    lower dimension, then declaration order.
+
+def _top_cells(A):
+    """A's top cells, the generators that are no face of another, with their vertices.
+
+    A map out of A is fixed by its values on them (Goerss-Jardine, I.1).
     """
-    gens = [(n, idx, g) for n in range(A.bound + 1) for idx, g in enumerate(A.gens[n])]
-    deps = {}
-    for n, _, g in gens:
-        if n == 0:
-            deps[g] = frozenset()
-        else:
-            deps[g] = frozenset(r.gen for r in A.face_table[g])
-    users = {g: [] for _, _, g in gens}
-    for _, _, g in gens:
-        for d in deps[g]:
-            users[d].append(g)
-    placed = set()
-    remaining = {g: set(deps[g]) for _, _, g in gens}
-    missing = {g: len(deps[g]) for _, _, g in gens}
-    meta = {g: (n, idx) for n, idx, g in gens}
-    order = []
-    pool = {g for _, _, g in gens}
-    while pool:
-        best = None
-        for g in pool:
-            if remaining[g] - placed:
+    faced = {r.gen for refs in A.face_table.values() for r in refs}
+    cells = []
+    for n, level in enumerate(A.gens):
+        for g in level:
+            if g not in faced:
+                ends = (tuple(k for k in range(n, -1, -1) if k != q) for q in range(n + 1))
+                verts = (_face_word(A, w, A.generator(g)).gen for w in ends)
+                cells.append((g, n, list(dict.fromkeys(verts))))
+    return cells
+
+
+def _search_plan(A, pinned):
+    """How the values of A's top cells and of the `pinned` generators fix a map.
+
+    Cells holding a pinned generator (so, pins being closed under
+    faces, a pinned vertex) come first, in declaration order, then the
+    rest breadth first along shared vertices.  Any other
+    generator is read off the first cell it lies on, as d_w cell for
+    the first face word w giving it.  The slots of a search hold the
+    pins, then the cells in search order.  Per cell, the step (dim,
+    positions, ties, checks, new) holds: for each face d_w cell = s_I g
+    with g pinned or read off an earlier cell, the position w and the
+    tie (slot, word there, I), maximal faces only, since a face inside
+    a tied face is implied by it; checks (w, w0, I) for the faces
+    d_w cell = s_I d_w0 cell within the cell (loops, degenerate faces);
+    and the generators (g, w) read off it.  With the steps come each
+    top cell's slot, and a program of (register, face) steps from the
+    registers [pins, top cells] to the generator values listed by `out`.
+    """
+    key = frozenset(pinned)
+    cells = _top_cells(A)
+    pins = [g for level in A.gens for g in level if g in key]
+    users = {}
+    for c, (_, _, verts) in enumerate(cells):
+        for v in verts:
+            users.setdefault(v, []).append(c)
+    order = [c for c, (_, _, verts) in enumerate(cells) if any(v in key for v in verts)]
+    queued, spread, j = set(order), set(), 0
+    for seed in range(len(cells)):
+        while j < len(order):
+            for v in cells[order[j]][2]:
+                if v not in spread:
+                    spread.add(v)
+                    fresh = [u for u in users[v] if u not in queued]
+                    order += fresh
+                    queued.update(fresh)
+            j += 1
+        if seed not in queued:
+            order.append(seed)
+            queued.add(seed)
+
+    base = len(pins)
+    read = {g: (s, ()) for s, g in enumerate(pins)}
+    home = dict(read)
+    steps, slots = [], [0] * len(cells)
+    for j, c in enumerate(order):
+        g, n, _ = cells[c]
+        # faces fewest deleted vertices first, not below a known face: all inside it are known
+        faces = [(0, (), A.generator(g))]
+        for mask, word, z in faces:  # the list grows as it is read
+            if z.gen not in read and len(word) < n:
+                for k in range(word[-1] if word else n + 1):
+                    faces.append((mask | 1 << k, word + (k,), face(A, k, z)))
+        new = {}
+        for _, w, z in faces:
+            if z.gen not in read and not z.word:
+                new.setdefault(z.gen, w)
+        ties, checks, cover = [], [], []
+        for mask, w, z in faces:
+            if z.gen in read:
+                if not any(mask & m == m for m in cover):
+                    cover.append(mask)
+                    ties.append((w, *read[z.gen], z.word))
+            elif new[z.gen] != w:
+                checks.append((w, new[z.gen], z.word))
+        ties.sort()
+        for g, w in new.items():
+            read[g], home[g] = (base + j, w), (base + c, w)
+        slots[c] = base + j
+        steps.append((n, tuple(t[0] for t in ties), tuple(t[1:] for t in ties), checks, list(new.items())))
+    registers, program = {}, []
+
+    def register(s, w):
+        if w and (s, w) not in registers:
+            program.append((register(s, w[:-1]), w[-1]))
+            registers[(s, w)] = base + len(cells) + len(program) - 1
+        return registers[(s, w)] if w else s
+
+    out = [register(*home[g]) for level in A.gens for g in level]
+    return pins, steps, slots, program, out
+
+
+class MapSearch:
+    """The maps from A to B that agree with `fixed` and pass `constrain`, found by top cells.
+
+    Iterating yields each such map once, as its values on A's top
+    cells in declaration order (for a horn or a sphere: its facets,
+    vertex lists descending).  The search runs depth first over the
+    cells in _search_plan order.  A cell's value is looked up in
+    face_index(B, n, positions) by its faces that the pins and earlier
+    cells fix; the faces it shares with itself are checked after, and
+    so is `constrain` on the generators read off it.  The pins are
+    first extended to the faces of pinned generators: when they
+    disagree, or one fails `constrain`, there are no maps.
+    """
+
+    def __init__(self, A, B, fixed=None, constrain=None):
+        fixed = dict(fixed or {})
+        for g, r in fixed.items():
+            if g not in A.gen_dim:
+                raise ValueError(f"fixed assignment names unknown generator '{g}'")
+            if r.dim != A.gen_dim[g]:
+                raise ValueError(f"fixed assignment for '{g}' has wrong dimension")
+        self.source, self.target, self.constrain = A, B, constrain
+        self.flat = [g for level in A.gens for g in level]
+        pins = _closed_pins(A, B, fixed)
+        if pins is not None and constrain is not None and not all(constrain(g, r) for g, r in pins.items()):
+            pins = None
+        self.live = pins is not None
+        names, self.steps, self.slots, self.program, self.out = _search_plan(A, pins or ())
+        self.pins = [pins[g] for g in names] if self.live else []
+
+    def __iter__(self):
+        if not self.live:
+            return
+        B, steps, slots, constrain = self.target, self.steps, self.slots, self.constrain
+        indexes = [face_index(B, n, positions=positions) for n, positions, *_ in steps]
+        xs = list(self.pins)
+        base = len(xs)
+
+        def fits(x, checks, new):
+            return all(
+                _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
+            ) and (constrain is None or all(constrain(g, _face_word(B, w, x)) for g, w in new))
+
+        def candidates():
+            j = len(xs) - base
+            _, _, ties, checks, new = steps[j]
+            key = []
+            for s, w, word in ties:
+                z = xs[s]
+                for k in w:
+                    z = face(B, k, z)
+                key.append(word_apply(word, z) if word else z)
+            pool = indexes[j].get(tuple(key), ())
+            if checks or (constrain is not None and new):
+                pool = [x for x in pool if fits(x, checks, new)]
+            return iter(pool)
+
+        if not steps:
+            yield ()
+            return
+        stack = [candidates()]
+        while stack:
+            x = next(stack[-1], None)
+            del xs[base + len(stack) - 1:]
+            if x is None:
+                stack.pop()
                 continue
-            completes = any(u in pool and missing[u] == 1 for u in users[g] if g in remaining[u])
-            n, idx = meta[g]
-            score = (0 if completes else 1, n, idx)
-            if best is None or score < best[0]:
-                best = (score, g)
-        g = best[1]
-        order.append(g)
-        pool.discard(g)
-        placed.add(g)
-        for u in users[g]:
-            if g in remaining[u]:
-                remaining[u].discard(g)
-                missing[u] -= 1
-    return order, deps, users
+            xs.append(x)
+            if len(stack) == len(steps):
+                yield tuple(xs[s] for s in slots)
+            else:
+                stack.append(candidates())
+
+    def values(self, tops):
+        """The values on A's generators, in declaration order, of the map with top-cell values `tops`.
+
+        Value tuples sort like map_key: refs compare by word, then
+        generator, and dimensions agree position by position.
+        """
+        regs = [*self.pins, *tops]
+        for src, k in self.program:
+            regs.append(face(self.target, k, regs[src]))
+        return tuple(regs[r] for r in self.out)
+
+    def first(self, found):
+        """The (map, payload) of (tops, payload) pairs whose map enumerate_maps lists first; None if none."""
+        best = min(found, key=lambda pair: self.values(pair[0]), default=None)
+        if best is None:
+            return None
+        return SimplicialMap(self.source, self.target, zip(self.flat, self.values(best[0]))), best[1]
 
 
 def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
     """All simplicial maps from A to B, optionally pinned on some generators.
 
     `fixed` maps generator names of A to target simplices; `constrain`
-    is an optional predicate (gen_name, candidate_ref) -> bool applied
-    to every candidate.  The search assigns generators one at a time,
-    always choosing a ready generator with the fewest candidates (ties
-    broken by dimension then declaration order), with candidates looked
-    up by face tuple.  Output is sorted by the assigned values in
-    declaration order, so it is deterministic and independent of search
-    internals.
-
-    `limit` truncates the result list (after at least `limit` maps are
-    found; the full sort is skipped then, but the search order makes
-    the found set itself deterministic).
+    is an optional predicate (gen_name, ref) -> bool that every value
+    of a map must pass.  MapSearch finds the maps by A's top cells,
+    each looked up by the faces it shares with the pins and the cells
+    before it.  Output is sorted by map_key, independent of the search;
+    `limit` keeps the first `limit` maps, the smallest.
     """
-    fixed = dict(fixed or {})
-    order, deps, users = _search_order(A)
-    static_pos = {g: p for p, g in enumerate(order)}
-    ngens = len(order)
-    for g, r in fixed.items():
-        if g not in A.gen_dim:
-            raise ValueError(f"fixed assignment names unknown generator '{g}'")
-        if r.dim != A.gen_dim[g]:
-            raise ValueError(f"fixed assignment for '{g}' has wrong dimension")
-
-    results = []
-    assign = {}
-    # candidates of ready generators, dropped when a dependency changes
-    cache = {}
-
-    def candidates(g):
-        pool = cache.get(g)
-        if pool is not None:
-            return pool
-        req = tuple(word_apply(r.word, assign[r.gen]) for r in A.face_table.get(g, ()))
-        pool = face_index(B, A.gen_dim[g]).get(req, ())
-        if g in fixed:
-            want = fixed[g]
-            pool = [want] if want in pool else []
-        if constrain is not None:
-            pool = [r for r in pool if constrain(g, r)]
-        cache[g] = pool
-        return pool
-
-    def ready_gens():
-        for g in order:
-            if g not in assign and all(d in assign for d in deps[g]):
-                yield g
-
-    def next_frame():
-        """(generator, candidate iterator) with the fewest candidates; None at a dead end."""
-        best = None
-        for g in ready_gens():
-            cands = candidates(g)
-            score = (len(cands), static_pos[g])
-            if best is None or score < best[0]:
-                best = (score, g, cands)
-                if score[0] == 0:
-                    return None
-        return best[1], iter(best[2])
-
-    # depth-first search; the stack holds each assigned generator with
-    # its untried candidates, in assignment order
-    stack = []
-    while True:
-        if len(assign) < ngens:
-            frame = next_frame()
-            if frame is not None:
-                stack.append(frame)
-        else:
-            results.append(dict(assign))
-            if limit is not None and len(results) >= limit:
-                break
-        while stack:
-            g, cands = stack[-1]
-            for u in users[g]:
-                cache.pop(u, None)
-            r = next(cands, None)
-            if r is not None:
-                assign[g] = r
-                break
-            assign.pop(g, None)
-            stack.pop()
-        if not stack:
-            break
-    maps = [SimplicialMap(A, B, a) for a in results]
-    if limit is None:
-        maps.sort(key=map_key)
-    return maps
+    search = MapSearch(A, B, fixed, constrain)
+    rows = sorted(search.values(tops) for tops in search)[:limit]
+    return [SimplicialMap(A, B, zip(search.flat, row)) for row in rows]
 
 
 def map_key(f):
     """Sort key of enumerate_maps output: the values on the source's generators in declaration order."""
     return tuple(ref_key(f.assign[g]) for level in f.source.gens for g in level)
-
-
-@lru_cache(maxsize=None)
-def _facet_plan(n, skip):
-    """The (n, skip) horn, or the n-sphere, and how facet values determine each generator.
-
-    For every generator in declaration order: the position in the
-    facet tuple of a facet containing it, and the faces, highest
-    first, that cut it out of that facet.
-    """
-    A = simplex_boundary(n)[0] if skip is None else horn(n, skip)[0]
-    slots = [k for k in range(n + 1) if k != skip]
-    plan = []
-    for level in A.gens:
-        for g in level:
-            verts = {int(c) for c in g}
-            t, k = next((t, k) for t, k in enumerate(slots) if k not in verts)
-            facet = [v for v in range(n + 1) if v != k]
-            plan.append((g, t, tuple(p for p in reversed(range(n)) if facet[p] not in verts)))
-    return A, tuple(plan)
-
-
-def facet_map(S, n, skip, xs):
-    """The map out of the (n, skip) horn, or the n-sphere, with facet tuple xs, as from enumerate_maps."""
-    A, plan = _facet_plan(n, skip)
-    assign = {}
-    for g, t, cuts in plan:
-        z = xs[t]
-        for p in cuts:
-            z = face(S, p, z)
-        assign[g] = z
-    return SimplicialMap(A, S, assign)
-
-
-def first_facet_map(S, n, skip, found):
-    """The (map, payload) of (facet tuple, payload) pairs that enumerate_maps lists first.
-
-    Streams `found` and keeps the map with the smallest map_key, so a
-    scan over facet_tuples reports the witness the generic search would
-    reach first.  None when `found` is empty.
-    """
-    maps = ((facet_map(S, n, skip, xs), payload) for xs, payload in found)
-    return min(maps, key=lambda pair: map_key(pair[0]), default=None)
 
 
 def find_isomorphism(A, B):

@@ -3,9 +3,13 @@
 Each entry is (name, category, is_groupoid_expected).  The mix covers
 one-object groupoids of several groups, posets, a discrete category, a
 disjoint union, a non-invertible monoid and the walking isomorphism.
+
+Hypothesis runs derandomized: every run draws the same examples, as
+the engine itself uses no randomness.
 """
 
 import pytest
+from hypothesis import settings
 
 from finsimp.categories import (
     arrow_category,
@@ -18,6 +22,9 @@ from finsimp.categories import (
     terminal_category,
 )
 from finsimp.groups import cyclic_group, one_object_groupoid, symmetric_group
+
+settings.register_profile("finsimp", derandomize=True, deadline=None)
+settings.load_profile("finsimp")
 
 
 def walking_isomorphism():

@@ -249,6 +249,21 @@ def test_slice_over_empty_diagram_is_the_whole_set():
     assert len(levels[1]) == len(simplices(S, 1))
 
 
+@pytest.mark.parametrize("low", [0, 1])
+def test_slice_over_a_wide_discrete_map_into_the_edge(low):
+    # 1500 top cells that share one edge: the map search is linear in them
+    K = discrete_simplicial_set([f"v{j}" for j in range(1500)])
+    S = standard_simplex(1)
+    from finsimp.simplicial import SimplicialMap
+
+    p = SimplicialMap(K, S, {v: S.generator("1" if j else str(low)) for j, v in enumerate(K.gens[0])})
+    # an n-simplex of the slice is a weakly increasing (a_0, ..., a_n) in {0, 1}
+    # with a_n at most every value of p, so at most `low`; the strictly
+    # increasing ones are the non-degenerate ones
+    want = tuple(len(list(itertools.combinations(range(low + 1), n + 1))) for n in range(2))
+    assert slice_over(p, 1).size_vector() == want
+
+
 def test_slice_depth_guard():
     S = standard_simplex(1)
     p = vertex_inclusion(S, "1")

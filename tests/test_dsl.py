@@ -234,6 +234,13 @@ def test_perm_group_with_a_repeated_point_is_located():
     assert diags == ((1, "not a permutation of 0..2: (0, 0, 2)"),)
 
 
+def test_perm_group_cycle_repeating_an_entry_is_located():
+    # these read as permutations (the identity and (0 1)), but are not cycles
+    assert diagnostics_of("group G perm 3 gens (0 0);") == ((1, "cycle (0 0) repeats 0"),)
+    diags = diagnostics_of("group G\n  perm 3 gens (1 2),\n  (0 1 0 1);")
+    assert diags == ((3, "cycle (0 1 0 1) repeats 0"),)
+
+
 def test_dimension_above_max_dim_is_located():
     diags = diagnostics_of("sset K {\n  dim 12;\n  gen 0 a;\n}\n")
     assert diags == ((2, "dim 12 exceeds the supported maximum 9"),)

@@ -5,11 +5,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from finsimp.categories import chain_category, is_groupoid, nerve, nerve_detect
 from finsimp.dsl import parse_document
 from finsimp.groups import cyclic_group, one_object_groupoid
 from finsimp.lifting import (
+    CheckResult,
     HornMap,
     LiftingProblem,
     FibrationResult,
@@ -35,6 +37,9 @@ from finsimp.simplicial import (
     standard_simplex,
     truncate,
 )
+from finsimp.limits import is_final, is_initial
+from strategies import small_simplicial_sets
+from witness_check import check_horn_witness, check_sphere_witness, check_square_witness
 
 EXTRA = parse_document(
     json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())["documents"]["extra"]
@@ -280,9 +285,9 @@ def test_horn_checks_report_the_enumerate_maps_witness(corpus):
             assert detected.reason == f"inner horn ({n}, {i}) map with {many}", name
 
 
-def test_fibration_checks_report_the_enumerate_maps_witness(corpus):
+def fibration_maps(corpus):
     point = standard_simplex(0)
-    maps = [
+    return [
         (name, constant_map(nerve(C, 3), point, "0")) for name, C, _ in corpus
     ] + [
         ("chain3", constant_map(nerve(chain_category(3), 3), point, "0")),
@@ -292,7 +297,10 @@ def test_fibration_checks_report_the_enumerate_maps_witness(corpus):
         ("Fold", EXTRA.value("Fold")),
         ("Crush", EXTRA.value("Crush")),
     ]
-    for name, p in maps:
+
+
+def test_fibration_checks_report_the_enumerate_maps_witness(corpus):
+    for name, p in fibration_maps(corpus):
         for check, boundary in [(is_kan_fibration, False), (is_trivial_fibration, True)]:
             res = check(p, 2)
             want = reference_lifting_check(p, 2, boundary)
@@ -304,3 +312,89 @@ def test_fibration_checks_report_the_enumerate_maps_witness(corpus):
                 n = res.witness.bottom.source.bound
                 assert res.witness.bottom.assign["".join(map(str, range(n + 1)))] == zY
                 assert res.witness.validate() == []
+
+
+# --- witnesses re-checked without the map search -------------------------------
+
+HORN_CHECKS = [(is_kan, False), (is_quasicategory, False), (has_unique_inner_fillers, True)]
+
+
+def test_failed_checks_have_witnesses_the_independent_check_accepts(corpus):
+    failed = 0
+    for name, K in witness_order_sets(corpus):
+        for check, unique in HORN_CHECKS:
+            res = check(K, 3)
+            if not res.holds:
+                check_horn_witness(K, res, unique)
+                failed += 1
+    for name, p in fibration_maps(corpus):
+        for check in (is_kan_fibration, is_trivial_fibration):
+            res = check(p, 2)
+            if not res.holds:
+                check_square_witness(p, res)
+                failed += 1
+    assert failed >= 20
+
+
+@settings(max_examples=40)
+@given(small_simplicial_sets())
+def test_witnesses_on_random_sets_pass_the_independent_check(K):
+    for check, unique in HORN_CHECKS:
+        res = check(K, 3)
+        if not res.holds:
+            check_horn_witness(K, res, unique)
+    p = constant_map(K, standard_simplex(0), "0")
+    for check in (is_kan_fibration, is_trivial_fibration):
+        res = check(p, 2)
+        if not res.holds:
+            check_square_witness(p, res)
+    for v in K.gens[0]:
+        for check, pinned in [(is_final, lambda n: n), (is_initial, lambda n: 0)]:
+            res = check(K, v, 2)
+            if not res.holds:
+                check_sphere_witness(K, v, res, pinned)
+
+
+def test_the_independent_check_rejects_a_fillable_horn():
+    S = standard_simplex(1)
+    res = is_kan(S, 2)
+    check_horn_witness(S, res)
+    fillable = CheckResult(False, horn_maps(S, 2, 1)[0], 2, 0)
+    with pytest.raises(AssertionError):
+        check_horn_witness(S, fillable)
+
+
+# --- solve_lift ------------------------------------------------------------------
+
+def lifting_squares():
+    """The squares of the solve_lift tests, and spheres over a point, some with several lifts."""
+    from finsimp.categories import arrow_category
+
+    N = nerve(arrow_category(), 3)
+    point = standard_simplex(0)
+    squares = [
+        LiftingProblem(horn(2, 1)[1], constant_map(N, point, "0"), hm.assignment,
+                       constant_map(standard_simplex(2), point, "0"))
+        for hm in horn_maps(N, 2, 1)
+    ]
+    S = standard_simplex(1)
+    for hm in horn_maps(S, 2, 0):
+        squares.append(LiftingProblem(horn(2, 0)[1], constant_map(S, point, "0"), hm.assignment,
+                                      constant_map(standard_simplex(2), point, "0")))
+    for K in (nerve(one_object_groupoid(cyclic_group(2)), 3), nerve(chain_category(2), 3)):
+        p = constant_map(K, point, "0")
+        for n in (1, 2):
+            B, incl = simplex_boundary(n)
+            for top in enumerate_maps(B, K):
+                squares.append(LiftingProblem(incl, p, top, constant_map(standard_simplex(n), point, "0")))
+    return squares
+
+
+def test_solve_lift_returns_the_first_of_all_lifts():
+    several = 0
+    for problem in lifting_squares():
+        assert problem.validate() == []
+        lifts = solve_lift(problem, find_all=True)
+        assert solve_lift(problem) == (lifts[0] if lifts else None)
+        several += len(lifts) > 1
+    assert several

@@ -33,6 +33,7 @@ from finsimp.simplicial import (
     validate,
 )
 from finsimp.constructions import product_of_maps
+from witness_check import check_sphere_witness
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +164,17 @@ def reference_extension_check(C, v, N, pinned):
     return True, None
 
 
-def test_finality_reports_the_enumerate_maps_witness(corpus):
+def finality_sets(corpus):
     golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
     sets = [(name, nerve(C, 4)) for name, C, _ in corpus]
     sets.append(("chain3", nerve(chain_category(3), 4)))
     sets.append(("Twin", parse_document(golden["documents"]["extra"]).value("Twin")))
     sets.append(("sphere2", simplex_boundary(2)[0]))
-    for name, C in sets:
+    return sets
+
+
+def test_finality_reports_the_enumerate_maps_witness(corpus):
+    for name, C in finality_sets(corpus):
         for v in C.gens[0]:
             for check, pinned in [(is_final, str), (is_initial, lambda n: "0")]:
                 res = check(C, v, 3)
@@ -177,6 +182,18 @@ def test_finality_reports_the_enumerate_maps_witness(corpus):
                 got = res.holds, res.witness and res.witness.assign
                 assert got == want, (name, v, check.__name__)
                 assert res.checked_to == 3
+
+
+def test_finality_witnesses_pass_the_independent_check(corpus):
+    failed = 0
+    for name, C in finality_sets(corpus):
+        for v in C.gens[0]:
+            for check, pinned in [(is_final, lambda n: n), (is_initial, lambda n: 0)]:
+                res = check(C, v, 3)
+                if not res.holds:
+                    check_sphere_witness(C, v, res, pinned)
+                    failed += 1
+    assert failed >= 20
 
 
 def test_finality_guards():

@@ -10,6 +10,7 @@ from finsimp.lifting import HornMap, horn_maps
 from finsimp.simplicial import (
     EMPTY,
     DimensionError,
+    MapSearch,
     SimplexRef,
     SimplicialSet,
     codegeneracy_map,
@@ -20,8 +21,6 @@ from finsimp.simplicial import (
     enumerate_maps,
     face,
     face_index,
-    facet_map,
-    facet_tuples,
     find_isomorphism,
     from_level_data,
     horn,
@@ -37,6 +36,8 @@ from finsimp.simplicial import (
     validate,
     word_apply,
 )
+from reference_search import reference_maps
+from strategies import small_simplicial_sets
 
 
 # --- oracles -----------------------------------------------------------------
@@ -244,6 +245,23 @@ def test_partial_face_index_matches_linear_scan(corpus):
                 assert face_index(S, n, skip) is index
 
 
+def test_face_index_by_iterated_faces_matches_linear_scan(corpus):
+    # a position deletes the vertices of a strictly decreasing word, highest first
+    for S in [nerve(C, 3) for _, C, _ in corpus] + [standard_simplex(3), horn(3, 1)[0]]:
+        for positions in [((),), ((3, 1),), ((2,), (3, 1, 0)), ((2, 1, 0), (3, 2), (3, 0))]:
+            index = face_index(S, 3, positions=positions)
+            for z in simplices(S, 3):
+                key = []
+                for w in positions:
+                    y = z
+                    for k in w:
+                        y = face(S, k, y)
+                    key.append(y)
+                assert z in index[tuple(key)]
+            assert sum(len(zs) for zs in index.values()) == len(simplices(S, 3))
+            assert all(zs == [z for z in simplices(S, 3) if z in zs] for zs in index.values())
+
+
 def test_face_index_files_every_vertex_under_the_empty_key():
     for S in [standard_simplex(2), horn(3, 1)[0], discrete_simplicial_set(["b", "a"])]:
         assert face_index(S, 0) == {(): list(simplices(S, 0))}
@@ -387,53 +405,62 @@ def test_enumeration_depth_is_not_bounded_by_the_recursion_limit():
     assert set(maps[0].assign.values()) == {SimplexRef((), "0", 0)}
 
 
-@st.composite
-def small_simplicial_sets(draw):
-    """A valid bound-2 set: a few vertices, edges (loops allowed) and triangles.
-
-    Triangles are drawn from all face triples of 1-simplices, degenerate
-    ones included, with d_i y_j = d_{j-1} y_i for i < j, and may repeat,
-    so fillers can be missing or multiple.
-    """
-    verts = [f"v{j}" for j in range(draw(st.integers(1, 3)))]
-    ends = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)), max_size=4))
-    edges = [f"e{j}" for j in range(len(ends))]
-    faces = {e: (SimplexRef((), b, 0), SimplexRef((), a, 0)) for e, (a, b) in zip(edges, ends)}
-    skeleton = SimplicialSet([verts, edges], faces)
-    triples = [
-        ys for ys in itertools.product(simplices(skeleton, 1), repeat=3)
-        if all(face(skeleton, i, ys[j]) == face(skeleton, j - 1, ys[i]) for j in range(3) for i in range(j))
-    ]
-    tops = draw(st.lists(st.sampled_from(triples), max_size=4))
-    faces.update((f"t{j}", ys) for j, ys in enumerate(tops))
-    S = SimplicialSet([verts, edges, [f"t{j}" for j in range(len(tops))]], faces)
-    assert validate(S) == []
-    return S
+def assigns(maps):
+    return [f.assign for f in maps]
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_simplicial_sets())
-def test_facet_tuples_are_the_maps_enumerate_maps_finds(S):
+def test_horn_and_sphere_maps_match_the_reference_search(S):
     for n in (1, 2, 3):
         for skip in [None, *range(n + 1)]:
             A = simplex_boundary(n)[0] if skip is None else horn(n, skip)[0]
-            tuples = list(facet_tuples(S, n, skip))
-            assert len(set(tuples)) == len(tuples)
-            got = sorted((facet_map(S, n, skip, xs) for xs in tuples), key=map_key)
-            want = enumerate_maps(A, S)
-            assert [f.assign for f in got] == [f.assign for f in want]
+            tops = list(MapSearch(A, S))
+            assert len(set(tops)) == len(tops)
+            want = reference_maps(A, S)
+            assert assigns(enumerate_maps(A, S)) == assigns(want)
             if skip is not None:
                 assert horn_maps(S, n, skip) == [HornMap(n, skip, f) for f in want]
         B = simplex_boundary(n)[0]
         for p in range(n + 1):
             for v in S.gens[0]:
-                pin = S.generator(v)
-                got = sorted(
-                    (facet_map(S, n, None, xs) for xs in facet_tuples(S, n, pin=(p, pin))),
-                    key=map_key,
-                )
-                want = enumerate_maps(B, S, fixed={str(p): pin})
-                assert [f.assign for f in got] == [f.assign for f in want]
+                fixed = {str(p): S.generator(v)}
+                assert assigns(enumerate_maps(B, S, fixed=fixed)) == assigns(reference_maps(B, S, fixed=fixed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_simplicial_sets(), small_simplicial_sets(), st.data())
+def test_enumerate_maps_matches_the_reference_search(A, B, data):
+    # random sources bring loops and degenerate faces, which a cell shares with itself
+    flat = [g for level in A.gens for g in level]
+    every = reference_maps(A, B)
+    # pins: values of one map (they agree) or arbitrary simplices (they may not)
+    model = data.draw(st.sampled_from(every)) if every and data.draw(st.booleans()) else None
+    fixed = {
+        g: model.assign[g] if model else data.draw(st.sampled_from(simplices(B, A.gen_dim[g])))
+        for g in data.draw(st.lists(st.sampled_from(flat), unique=True, max_size=3))
+    }
+    targets = [h for level in B.gens for h in level]
+    banned = set(data.draw(st.lists(st.tuples(st.sampled_from(flat), st.sampled_from(targets)), max_size=3)))
+
+    def constrain(g, r):
+        return (g, r.gen) not in banned
+
+    for kwargs in [{}, {"fixed": fixed}, {"constrain": constrain}, {"fixed": fixed, "constrain": constrain}]:
+        want = reference_maps(A, B, **kwargs)
+        assert assigns(enumerate_maps(A, B, **kwargs)) == assigns(want)
+        assert assigns(enumerate_maps(A, B, limit=1, **kwargs)) == assigns(want[:1])
+
+
+def test_enumeration_pins_the_faces_of_a_pinned_generator():
+    S = standard_simplex(1)
+    edge = S.generator("01")
+    want = {"0": S.generator("0"), "1": S.generator("1"), "01": edge}
+    assert assigns(enumerate_maps(S, S, fixed={"01": edge})) == [want]
+    # d_0 of the edge is vertex 1, so pinning vertex 0 there leaves no map
+    assert enumerate_maps(S, S, fixed={"01": edge, "0": S.generator("1")}) == []
+    # a pin outside the target leaves no map either
+    assert enumerate_maps(S, S, fixed={"01": SimplexRef((), "ghost", 1)}) == []
 
 
 # --- isomorphism search -------------------------------------------------------
