@@ -252,11 +252,11 @@ def _lifting_check(p, N, shapes):
             below = fillers_y.get(tuple(p.apply(x) for x in xs), ())
             return next((zY for zY in below if zY not in over), None)
 
-        search = MapSearch((simplex_boundary(n) if i is None else horn(n, i))[0], X)
+        shape, incl = simplex_boundary(n) if i is None else horn(n, i)
+        search = MapSearch(shape, X)
         found = search.first((xs, zY) for xs in search if (zY := unliftable(xs[::-1])) is not None)
         if found is not None:
             top, zY = found
-            incl = (simplex_boundary(n) if i is None else horn(n, i))[1]
             bottom = _simplex_map_from_simplex(n, Y, zY)
             return CheckResult(False, LiftingProblem(incl, p, top, bottom), N)
     return CheckResult(True, None, N)

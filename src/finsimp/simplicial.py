@@ -596,8 +596,10 @@ def _closed_pins(A, B, fixed):
     pins = dict(fixed)
     for g in (g for level in reversed(A.gens) for g in level if g in pins):  # pins grows downwards
         r = pins[g]
-        if r.gen not in B.gen_dim or B.gen_dim[r.gen] + len(r.word) != r.dim:
-            return None
+        w = r.word
+        normal = all(a > b for a, b in zip(w, w[1:])) and all(0 <= k < r.dim for k in w)
+        if r.gen not in B.gen_dim or B.gen_dim[r.gen] + len(w) != r.dim or not normal:
+            return None  # not a simplex of B in normal form
         for k, z in enumerate(A.face_table.get(g, ())):
             v = face(B, k, r)
             y = _face_word(B, z.word, v)
@@ -627,9 +629,9 @@ def _search_plan(A, pinned):
 
     Cells holding a pinned generator (so, pins being closed under
     faces, a pinned vertex) come first, in declaration order, then the
-    rest breadth first along shared vertices.  Any other
-    generator is read off the first cell it lies on, as d_w cell for
-    the first face word w giving it.  The slots of a search hold the
+    rest breadth first along shared vertices.  Any other generator is
+    read off the first cell it lies on, as d_w cell for the first face
+    word w giving it.  The slots of a search hold the
     pins, then the cells in search order.  Per cell, the step (dim,
     positions, ties, checks, new) holds: for each face d_w cell = s_I g
     with g pinned or read off an earlier cell, the position w and the

@@ -459,8 +459,9 @@ def test_enumeration_pins_the_faces_of_a_pinned_generator():
     assert assigns(enumerate_maps(S, S, fixed={"01": edge})) == [want]
     # d_0 of the edge is vertex 1, so pinning vertex 0 there leaves no map
     assert enumerate_maps(S, S, fixed={"01": edge, "0": S.generator("1")}) == []
-    # a pin outside the target leaves no map either
+    # a pin outside the target, or not in normal form, leaves no map either
     assert enumerate_maps(S, S, fixed={"01": SimplexRef((), "ghost", 1)}) == []
+    assert enumerate_maps(S, S, fixed={"01": SimplexRef((5,), "0", 1)}) == []
 
 
 # --- isomorphism search -------------------------------------------------------
