@@ -26,7 +26,6 @@ from finsimp.simplicial import (
     horn,
     identity_map,
     insert_degeneracy,
-    map_key,
     rename_generators,
     simplex_boundary,
     simplex_map_from_vertices,
