@@ -27,9 +27,8 @@ from .actions import (
     is_saturated,
     orbit_groupoid,
     restriction,
-    validate_action,
 )
-from .categories import nerve, nerve_detect, validate_category
+from .categories import nerve, nerve_detect
 from .constructions import (
     coslice_under,
     join,
@@ -39,6 +38,7 @@ from .constructions import (
     slice_over,
 )
 from .dsl import (
+    VALIDATORS,
     DslParseError,
     entity_sset,
     parse_document,
@@ -46,7 +46,7 @@ from .dsl import (
     ref_text,
     sanitize_sset,
 )
-from .groups import one_object_groupoid, subgroup_closure, validate_group
+from .groups import one_object_groupoid, subgroup_closure
 from .lifting import (
     is_kan,
     is_kan_fibration,
@@ -58,7 +58,6 @@ from .simplicial import (
     DimensionError,
     TruncationError,
     find_isomorphism,
-    validate,
 )
 
 SCHEMA = "finsimp-report/1"
@@ -164,22 +163,12 @@ def _groupoid_report(args, G, **extra):
 # Handlers.  Each takes (doc, args) and returns (report_dict, human_text);
 # the leading parameters of a shared handler are bound in the command table.
 
-_VALIDATORS = {
-    "sset": validate,
-    "category": validate_category,
-    "groupoid": validate_category,
-    "group": validate_group,
-    "action": validate_action,
-    "map": lambda f: f.validate(),
-}
-
-
 def _cmd_validate(doc, args):
     names = list(doc.entities) if args.name is None else [args.name]
     problems = {}
     for name in names:
         kind, value = _entity(doc, name)
-        problems[name] = {"kind": kind, "problems": list(_VALIDATORS[kind](value))}
+        problems[name] = {"kind": kind, "problems": list(VALIDATORS[kind](value))}
     ok = all(not e["problems"] for e in problems.values())
     report = {"verdict": "pass" if ok else "fail", "entities": problems}
     lines = [

@@ -127,6 +127,25 @@ def _is_nat(text):
     return text.isdigit()
 
 
+# entity kind -> the function listing a value's structural problems
+VALIDATORS = {
+    "sset": validate,
+    "category": validate_category,
+    "groupoid": validate_category,
+    "group": validate_group,
+    "action": validate_action,
+    "map": SimplicialMap.validate,
+}
+
+# keyword of a product table -> (usage form, entry, member, neutral element)
+_TABLE_WORDS = {
+    "comp": ("g.f = h", "composite", "morphism", "identity"),
+    "mul": ("a.b = c", "product", "element", "unit"),
+}
+_FACE_USAGE = "face name K -> [word] name;"
+_VALUE_USAGE = "source -> [word] target;"
+
+
 class _Parser:
     def __init__(self, text):
         self.diags = []
@@ -171,6 +190,117 @@ class _Parser:
             if tok.text == ";":
                 return out
             out.append(tok)
+
+    # -- statement readers ------------------------------------------------
+
+    def _shape(self, toks, shape, usage, line=None):
+        """The tokens at the placeholders of `shape`, or None after `usage: ...`.
+
+        `shape` is space-separated words: NAME and NAT match a name and a
+        natural number, ANY matches any token, any other word matches
+        itself, and a final `...` matches the remaining tokens, which are
+        returned after the placeholders.  The usage line is that of the
+        first token unless `line` is given.
+        """
+        words = shape.split()
+        if words[-1] == "...":
+            words.pop()
+            fits = len(toks) >= len(words)
+        else:
+            fits = len(toks) == len(words)
+        fits = fits and all(
+            w == "ANY" or (_is_name(t.text) if w == "NAME" else _is_nat(t.text) if w == "NAT" else t.text == w)
+            for w, t in zip(words, toks)
+        )
+        if not fits:
+            self._fail(toks[0].line if line is None else line, f"usage: {usage}")
+            return None
+        return [t for w, t in zip(words, toks) if w in ("NAME", "NAT", "ANY")] + toks[len(words):]
+
+    def _names(self, toks, noun, into, value=None):
+        """Add each name among toks to the dict `into`, mapped to `value`."""
+        for tok in toks:
+            if not _is_name(tok.text):
+                self._fail(tok.line, f"bad {noun} name '{tok.text}'")
+            elif tok.text in into:
+                self._fail(tok.line, f"duplicate {noun} '{tok.text}'")
+            else:
+                into[tok.text] = value
+
+    def _ref(self, toks, line, what, usage):
+        """(word, name) from `[k ...] name`, or None after a diagnostic."""
+        if not toks or toks[0].text != "[":
+            self._fail(line, f"{what}: expected a bracketed degeneracy word")
+            return None
+        idx = 1
+        word = []
+        while idx < len(toks) and toks[idx].text != "]":
+            if not _is_nat(toks[idx].text):
+                self._fail(toks[idx].line, f"{what}: bad word entry '{toks[idx].text}'")
+                return None
+            word.append(int(toks[idx].text))
+            idx += 1
+        if idx >= len(toks):
+            self._fail(line, f"{what}: unclosed degeneracy word")
+            return None
+        if any(a <= b for a, b in zip(word, word[1:])):
+            self._fail(line, f"{what}: degeneracy word must be strictly decreasing")
+            return None
+        name = self._shape(toks[idx + 1:], "NAME", usage, line)
+        return None if name is None else (tuple(word), name[0].text)
+
+    def _table(self, kw, stmts, known, neutral, plain, composable, line):
+        """The entries of the `kw g.f = h` statements (comp or mul).
+
+        Names must be among `known`.  An entry with a `neutral` factor
+        (an identity or the unit) must equal the other factor and is not
+        stored; every composable pair of `plain` names needs an entry.
+        """
+        form, entry, member, unit = _TABLE_WORDS[kw]
+        table = {}
+        for stmt in stmts:
+            args = self._shape(stmt, f"{kw} ANY . ANY = ANY", f"{kw} {form};")
+            if args is None:
+                continue
+            g, f, h = (t.text for t in args)
+            line_of = stmt[0].line
+            bad = [m for m in (g, f, h) if m not in known]
+            if bad:
+                self._fail(line_of, f"{entry} names unknown {member} '{bad[0]}'")
+            elif not composable(g, f):
+                self._fail(line_of, f"'{g}.{f}' is not composable")
+            elif g in neutral or f in neutral:
+                expected = f if g in neutral else g
+                if h != expected:
+                    self._fail(line_of, f"{unit} {entry} '{g}.{f}' must be {expected}")
+            elif (g, f) in table:
+                self._fail(line_of, f"duplicate {entry} '{g}.{f}'")
+            else:
+                table[(g, f)] = h
+        for g in plain:
+            for f in plain:
+                if composable(g, f) and (g, f) not in table:
+                    self._fail(line, f"missing {entry} '{g}.{f}'")
+        return table
+
+    def _finish(self, kind, name, line, value, start, meta=None):
+        """Validate a block's entity; store it if the block reported nothing.
+
+        Problems are prefixed `in KIND NAME: `, and a groupoid is its
+        category upgraded by inverse search.  An sset block passes
+        `start=None`: its set is stored even when invalid, so that later
+        blocks can still name it.
+        """
+        for msg in VALIDATORS[kind](value):
+            self._fail(line, f"in {kind} {name}: {msg}")
+        if kind == "groupoid" and len(self.diags) == start:
+            value = as_groupoid(value)
+            if value is None:
+                self._fail(line, f"in groupoid {name}: some morphism has no inverse")
+        if start is None or len(self.diags) == start:
+            self.doc.entities[name] = (kind, value)
+            if meta is not None:
+                self.doc.meta[name] = meta
 
     # -- document ---------------------------------------------------------
 
@@ -256,64 +386,34 @@ class _Parser:
 
     # -- sset blocks ------------------------------------------------------
 
-    def _word_tokens(self, toks, line, what):
-        """Parse '[ k ... ]' from the front of toks; returns (word, rest)."""
-        if not toks or toks[0].text != "[":
-            self._fail(line, f"{what}: expected a bracketed degeneracy word")
-            return None, toks
-        idx = 1
-        word = []
-        while idx < len(toks) and toks[idx].text != "]":
-            if not _is_nat(toks[idx].text):
-                self._fail(toks[idx].line, f"{what}: bad word entry '{toks[idx].text}'")
-                return None, toks[idx:]
-            word.append(int(toks[idx].text))
-            idx += 1
-        if idx >= len(toks):
-            self._fail(line, f"{what}: unclosed degeneracy word")
-            return None, []
-        if any(a <= b for a, b in zip(word, word[1:])):
-            self._fail(line, f"{what}: degeneracy word must be strictly decreasing")
-            return None, toks[idx + 1:]
-        return tuple(word), toks[idx + 1:]
-
     def _sset_block(self, name, line, statements):
         bound = None
         truncated = False
         gen_dim = {}
-        gen_order = []
         face_lines = []
         for stmt in statements:
             kw = stmt[0]
             if kw.text == "dim":
-                if len(stmt) != 2 or not _is_nat(stmt[1].text):
-                    self._fail(kw.line, "usage: dim N;")
-                elif bound is not None:
+                args = self._shape(stmt, "dim NAT", "dim N;")
+                if args is None:
+                    continue
+                if bound is not None:
                     self._fail(kw.line, "duplicate dim statement")
-                elif int(stmt[1].text) > MAX_DIM:
-                    dim = int(stmt[1].text)
-                    self._fail(kw.line, f"dim {dim} exceeds the supported maximum {MAX_DIM}")
+                elif int(args[0].text) > MAX_DIM:
+                    self._fail(kw.line, f"dim {int(args[0].text)} exceeds the supported maximum {MAX_DIM}")
                 else:
-                    bound = int(stmt[1].text)
+                    bound = int(args[0].text)
             elif kw.text == "truncated":
-                if len(stmt) != 1:
-                    self._fail(kw.line, "usage: truncated;")
+                self._shape(stmt, "truncated", "truncated;")
                 truncated = True
             elif kw.text == "gen":
-                if len(stmt) < 3 or not _is_nat(stmt[1].text):
-                    self._fail(kw.line, "usage: gen DIM name ...;")
+                args = self._shape(stmt, "gen NAT ANY ...", "gen DIM name ...;")
+                if args is None:
                     continue
-                d = int(stmt[1].text)
+                d = int(args[0].text)
                 if d > MAX_DIM:
                     self._fail(kw.line, f"gen {d} exceeds the supported maximum {MAX_DIM}")
-                for tok in stmt[2:]:
-                    if not _is_name(tok.text):
-                        self._fail(tok.line, f"bad generator name '{tok.text}'")
-                    elif tok.text in gen_dim:
-                        self._fail(tok.line, f"duplicate generator '{tok.text}'")
-                    else:
-                        gen_dim[tok.text] = d
-                        gen_order.append(tok.text)
+                self._names(args[1:], "generator", gen_dim, d)
             elif kw.text == "face":
                 face_lines.append(stmt)
             else:
@@ -325,103 +425,69 @@ class _Parser:
         faces = {}
         for stmt in face_lines:
             kw = stmt[0]
-            # face NAME K -> [word] NAME ;
-            if (
-                len(stmt) < 5
-                or not _is_name(stmt[1].text)
-                or not _is_nat(stmt[2].text)
-                or stmt[3].text != "->"
-            ):
-                self._fail(kw.line, "usage: face name K -> [word] name;")
+            args = self._shape(stmt, "face NAME NAT -> ANY ...", _FACE_USAGE)
+            if args is None:
                 continue
-            g, k = stmt[1].text, int(stmt[2].text)
-            word, rest = self._word_tokens(stmt[4:], kw.line, f"face of '{g}'")
-            if word is None:
+            g, k = args[0].text, int(args[1].text)
+            ref = self._ref(args[2:], kw.line, f"face of '{g}'", _FACE_USAGE)
+            if ref is None:
                 continue
-            if len(rest) != 1 or not _is_name(rest[0].text):
-                self._fail(kw.line, "usage: face name K -> [word] name;")
-                continue
-            y = rest[0].text
-            if g not in gen_dim:
+            word, y = ref
+            n = gen_dim.get(g)
+            if n is None:
                 self._fail(kw.line, f"face of unknown generator '{g}'")
-                continue
-            n = gen_dim[g]
-            if n == 0 or k > n:
+            elif n == 0 or k > n:
                 self._fail(kw.line, f"face index {k} out of range for '{g}' (dimension {n})")
-                continue
-            if y not in gen_dim:
+            elif y not in gen_dim:
                 self._fail(kw.line, f"face of '{g}' refers to unknown generator '{y}'")
-                continue
-            if gen_dim[y] + len(word) != n - 1:
+            elif gen_dim[y] + len(word) != n - 1:
                 self._fail(
                     kw.line,
                     f"face d_{k} of '{g}' must have dimension {n - 1}, got {gen_dim[y] + len(word)}",
                 )
-                continue
-            if (g, k) in faces:
+            elif (g, k) in faces:
                 self._fail(kw.line, f"duplicate face d_{k} of '{g}'")
-                continue
-            faces[(g, k)] = SimplexRef(word, y, n - 1)
+            else:
+                faces[(g, k)] = SimplexRef(word, y, n - 1)
 
         broken = False
         for g, d in gen_dim.items():
             if d > bound:
                 self._fail(line, f"generator '{g}' has dimension {d} above the bound {bound}")
                 broken = True
-        for g in gen_order:
-            n = gen_dim[g]
-            if n == 0:
-                continue
+        for g, n in gen_dim.items():
             for k in range(n + 1):
-                if (g, k) not in faces:
+                if n and (g, k) not in faces:
                     self._fail(line, f"missing face d_{k} of '{g}'")
                     broken = True
         if broken:
             return
         gens_by_dim = [[] for _ in range(bound + 1)]
-        for g in gen_order:
-            gens_by_dim[gen_dim[g]].append(g)
-        face_table = {}
-        for g in gen_order:
-            n = gen_dim[g]
-            if n >= 1:
-                face_table[g] = tuple(faces[(g, k)] for k in range(n + 1))
+        for g, n in gen_dim.items():
+            gens_by_dim[n].append(g)
+        face_table = {
+            g: tuple(faces[(g, k)] for k in range(n + 1)) for g, n in gen_dim.items() if n >= 1
+        }
         S = SimplicialSet(gens_by_dim, face_table, truncated=truncated)
-        for msg in validate(S):
-            self._fail(line, f"in sset {name}: {msg}")
-        self.doc.entities[name] = ("sset", S)
+        self._finish("sset", name, line, S, None)
 
     # -- category / groupoid blocks --------------------------------------
 
     def _category_block(self, kind, name, line, statements):
         start = len(self.diags)
-        objects = []
+        objects = {}
         homs = {}
         comp_lines = []
-        seen_obj = set()
         for stmt in statements:
             kw = stmt[0]
             if kw.text == "obj":
-                for tok in stmt[1:]:
-                    if not _is_name(tok.text):
-                        self._fail(tok.line, f"bad object name '{tok.text}'")
-                    elif tok.text in seen_obj:
-                        self._fail(tok.line, f"duplicate object '{tok.text}'")
-                    else:
-                        seen_obj.add(tok.text)
-                        objects.append(tok.text)
+                self._names(stmt[1:], "object", objects)
             elif kw.text == "mor":
-                # mor f : a -> b ;
-                if (
-                    len(stmt) != 6
-                    or stmt[2].text != ":"
-                    or stmt[4].text != "->"
-                    or not _is_name(stmt[1].text)
-                ):
-                    self._fail(kw.line, "usage: mor f: a -> b;")
+                args = self._shape(stmt, "mor NAME : ANY -> ANY", "mor f: a -> b;")
+                if args is None:
                     continue
-                f, a, b = stmt[1].text, stmt[3].text, stmt[5].text
-                if f in homs or f in seen_obj:
+                f, a, b = (t.text for t in args)
+                if f in homs or f in objects:
                     self._fail(kw.line, f"duplicate morphism '{f}'")
                     continue
                 homs[f] = (a, b, kw.line)
@@ -431,68 +497,28 @@ class _Parser:
                 self._fail(kw.line, f"unknown {kind} statement '{kw.text}'")
 
         for f, (a, b, ln) in homs.items():
-            if a not in seen_obj:
+            if a not in objects:
                 self._fail(ln, f"morphism '{f}' has unknown source '{a}'")
-            if b not in seen_obj:
+            if b not in objects:
                 self._fail(ln, f"morphism '{f}' has unknown target '{b}'")
         if len(self.diags) > start:
             # names are broken; composites would only cascade
             return
 
         identity_of = identity_names(objects, homs)
-        known = set(homs) | set(identity_of.values())
         src = {f: st[0] for f, st in homs.items()}
         tgt = {f: st[1] for f, st in homs.items()}
         for a, i in identity_of.items():
             src[i] = a
             tgt[i] = a
-
-        comp = {}
-        ids = set(identity_of.values())
-        for stmt in comp_lines:
-            kw = stmt[0]
-            # comp g . f = h ;
-            if len(stmt) != 6 or stmt[2].text != "." or stmt[4].text != "=":
-                self._fail(kw.line, "usage: comp g.f = h;")
-                continue
-            g, f, h = stmt[1].text, stmt[3].text, stmt[5].text
-            bad = [m for m in (g, f, h) if m not in known]
-            if bad:
-                self._fail(kw.line, f"composite names unknown morphism '{bad[0]}'")
-                continue
-            if tgt[f] != src[g]:
-                self._fail(kw.line, f"'{g}.{f}' is not composable")
-                continue
-            if g in ids or f in ids:
-                expected = f if g in ids else g
-                if h != expected:
-                    self._fail(kw.line, f"identity composite '{g}.{f}' must be {expected}")
-                continue
-            if (g, f) in comp:
-                self._fail(kw.line, f"duplicate composite '{g}.{f}'")
-                continue
-            comp[(g, f)] = h
-
-        for g in homs:
-            for f in homs:
-                if tgt[f] == src[g] and (g, f) not in comp:
-                    self._fail(line, f"missing composite '{g}.{f}'")
+        comp = self._table(
+            "comp", comp_lines, src, set(identity_of.values()), homs,
+            lambda g, f: tgt[f] == src[g], line,
+        )
         if len(self.diags) > start:
             return
-
         C = build_category(objects, {f: (st[0], st[1]) for f, st in homs.items()}, comp)
-        for msg in validate_category(C):
-            self._fail(line, f"in {kind} {name}: {msg}")
-        if len(self.diags) > start:
-            return
-        if kind == "groupoid":
-            G = as_groupoid(C)
-            if G is None:
-                self._fail(line, f"in groupoid {name}: some morphism has no inverse")
-                return
-            self.doc.entities[name] = ("groupoid", G)
-        else:
-            self.doc.entities[name] = ("category", C)
+        self._finish(kind, name, line, C, start)
 
     # -- group blocks -----------------------------------------------------
 
@@ -500,32 +526,24 @@ class _Parser:
         stmt = self._statement()
         # perm N gens ( c ... ) ( c ... ) , ( c ... ) ;
         line = stmt[0].line if stmt else self._line()
-        if len(stmt) < 2 or stmt[0].text != "perm" or not _is_nat(stmt[1].text):
-            self._fail(line, "usage: group NAME perm DEGREE gens (cycles), ...;")
+        args = self._shape(stmt, "perm NAT gens ...", "group NAME perm DEGREE gens (cycles), ...;", line)
+        if args is None:
             return
-        degree = int(stmt[1].text)
-        rest = stmt[2:]
-        if not rest or rest[0].text != "gens":
-            self._fail(line, "usage: group NAME perm DEGREE gens (cycles), ...;")
-            return
-        rest = rest[1:]
+        degree = int(args[0].text)
         gens = []
         cycles = []
         cur = None
-        ok = True
         repeat = None
-        for tok in rest:
+        for tok in args[1:]:
             if tok.text == "(":
                 if cur is not None:
                     self._fail(tok.line, "nested '(' in cycle notation")
-                    ok = False
-                    break
+                    return
                 cur = []
             elif tok.text == ")":
                 if cur is None:
                     self._fail(tok.line, "unmatched ')'")
-                    ok = False
-                    break
+                    return
                 if repeat is None and len(set(cur)) < len(cur):
                     twice = next(v for v in cur if cur.count(v) > 1)
                     repeat = (tok.line, f"cycle ({' '.join(map(str, cur))}) repeats {twice}")
@@ -534,18 +552,14 @@ class _Parser:
             elif tok.text == ",":
                 if cur is not None or not cycles:
                     self._fail(tok.line, "misplaced ','")
-                    ok = False
-                    break
+                    return
                 gens.append(cycles)
                 cycles = []
             elif _is_nat(tok.text) and cur is not None:
                 cur.append(int(tok.text))
             else:
                 self._fail(tok.line, f"unexpected '{tok.text}' in cycle notation")
-                ok = False
-                break
-        if not ok:
-            return
+                return
         if cur is not None:
             self._fail(line, "unclosed cycle")
             return
@@ -560,110 +574,66 @@ class _Parser:
         if repeat is not None:
             self._fail(*repeat)
             return
+        # no validate_group: a perm group is one by construction, and the
+        # associativity check of a degree-6 group alone is 720^3 lookups
         self.doc.entities[name] = ("group", group)
         self.doc.meta[name] = {}
 
     def _group_block(self, name, line, statements):
         start = len(self.diags)
-        elements = []
-        seen = set()
+        elements = {}
         unit = None
         mul_lines = []
         for stmt in statements:
             kw = stmt[0]
             if kw.text == "elements":
-                for tok in stmt[1:]:
-                    if not _is_name(tok.text):
-                        self._fail(tok.line, f"bad element name '{tok.text}'")
-                    elif tok.text in seen:
-                        self._fail(tok.line, f"duplicate element '{tok.text}'")
-                    else:
-                        seen.add(tok.text)
-                        elements.append(tok.text)
+                self._names(stmt[1:], "element", elements)
             elif kw.text == "unit":
-                if len(stmt) != 2:
-                    self._fail(kw.line, "usage: unit e;")
-                elif unit is not None:
+                args = self._shape(stmt, "unit ANY", "unit e;")
+                if args is None:
+                    continue
+                if unit is not None:
                     self._fail(kw.line, "duplicate unit statement")
                 else:
-                    unit = stmt[1].text
+                    unit = args[0].text
             elif kw.text == "mul":
                 mul_lines.append(stmt)
             else:
                 self._fail(kw.line, f"unknown group statement '{kw.text}'")
-        if unit is None or unit not in seen:
+        if unit not in elements:
             self._fail(line, f"group {name} needs a unit among its elements")
             return
 
-        mul = {}
-        for stmt in mul_lines:
-            kw = stmt[0]
-            if len(stmt) != 6 or stmt[2].text != "." or stmt[4].text != "=":
-                self._fail(kw.line, "usage: mul a.b = c;")
-                continue
-            a, b, c = stmt[1].text, stmt[3].text, stmt[5].text
-            bad = [e for e in (a, b, c) if e not in seen]
-            if bad:
-                self._fail(kw.line, f"product names unknown element '{bad[0]}'")
-                continue
-            if a == unit or b == unit:
-                expected = b if a == unit else a
-                if c != expected:
-                    self._fail(kw.line, f"unit product '{a}.{b}' must be {expected}")
-                continue
-            if (a, b) in mul:
-                self._fail(kw.line, f"duplicate product '{a}.{b}'")
-                continue
-            mul[(a, b)] = c
+        plain = [a for a in elements if a != unit]
+        mul = self._table("mul", mul_lines, elements, {unit}, plain, lambda a, b: True, line)
         for a in elements:
             mul[(unit, a)] = a
             mul[(a, unit)] = a
-        for a in elements:
-            for b in elements:
-                if (a, b) not in mul:
-                    self._fail(line, f"missing product '{a}.{b}'")
         if len(self.diags) > start:
             return
-        G = FiniteGroup(elements, unit, mul)
-        for msg in validate_group(G):
-            self._fail(line, f"in group {name}: {msg}")
-        if len(self.diags) > start:
-            return
-        self.doc.entities[name] = ("group", G)
-        self.doc.meta[name] = {}
+        self._finish("group", name, line, FiniteGroup(elements, unit, mul), start, {})
 
     # -- action blocks ----------------------------------------------------
 
     def _action_block(self, name, line, statements):
         start = len(self.diags)
         group_name = None
-        points = []
-        seen_pts = set()
+        points = {}
         act_lines = []
         for stmt in statements:
             kw = stmt[0]
             if kw.text == "group":
-                if len(stmt) != 2:
-                    self._fail(kw.line, "usage: group NAME;")
-                elif group_name is not None:
+                args = self._shape(stmt, "group ANY", "group NAME;")
+                if args is None:
+                    continue
+                if group_name is not None:
                     self._fail(kw.line, "duplicate group statement")
+                elif args[0].text in self.doc.entities and self.doc.kind(args[0].text) == "group":
+                    group_name = args[0].text
                 else:
-                    group_name = stmt[1].text
-                    if (
-                        group_name not in self.doc.entities
-                        or self.doc.kind(group_name) != "group"
-                    ):
-                        self._fail(kw.line, f"'{group_name}' is not an earlier group")
-                        group_name = None
+                    self._fail(kw.line, f"'{args[0].text}' is not an earlier group")
             elif kw.text == "on":
-                for tok in stmt[1:]:
-                    if not _is_name(tok.text):
-                        self._fail(tok.line, f"bad point name '{tok.text}'")
-                    elif tok.text in seen_pts:
-                        self._fail(tok.line, f"duplicate point '{tok.text}'")
-                    else:
-                        seen_pts.add(tok.text)
-                        points.append(tok.text)
+                self._names(stmt[1:], "point", points)
             elif kw.text == "act":
                 act_lines.append(stmt)
             else:
@@ -676,27 +646,23 @@ class _Parser:
         table = {}
         for stmt in act_lines:
             kw = stmt[0]
-            if len(stmt) != 5 or stmt[3].text != "=":
-                self._fail(kw.line, "usage: act g x = y;")
+            args = self._shape(stmt, "act ANY ANY = ANY", "act g x = y;")
+            if args is None:
                 continue
-            g, x, y = stmt[1].text, stmt[2].text, stmt[4].text
+            g, x, y = (t.text for t in args)
             if g not in G.elements:
                 self._fail(kw.line, f"action by unknown element '{g}'")
-                continue
-            if x not in seen_pts:
+            elif x not in points:
                 self._fail(kw.line, f"action entry uses unknown point '{x}'")
-                continue
-            if y not in seen_pts:
+            elif y not in points:
                 self._fail(kw.line, f"action entry uses unknown point '{y}'")
-                continue
-            if g == G.unit:
+            elif g == G.unit:
                 if y != x:
                     self._fail(kw.line, f"unit must act trivially on '{x}'")
-                continue
-            if (g, x) in table:
+            elif (g, x) in table:
                 self._fail(kw.line, f"duplicate action entry for ({g}, {x})")
-                continue
-            table[(g, x)] = y
+            else:
+                table[(g, x)] = y
         for g in G.elements:
             if g == G.unit:
                 continue
@@ -706,12 +672,7 @@ class _Parser:
         if len(self.diags) > start:
             return
         A = group_action(G, tuple(points), table)
-        for msg in validate_action(A):
-            self._fail(line, f"in action {name}: {msg}")
-        if len(self.diags) > start:
-            return
-        self.doc.entities[name] = ("action", A)
-        self.doc.meta[name] = {"group": group_name, "points": tuple(points)}
+        self._finish("action", name, line, A, start, {"group": group_name, "points": tuple(points)})
 
     # -- map blocks -------------------------------------------------------
 
@@ -725,67 +686,44 @@ class _Parser:
         return S
 
     def _map_block(self, name, line):
-        # NAME already consumed; expect ': A -> B {'
+        # NAME already consumed; expect ': A -> B {', and skip from just
+        # after the first token when that is not ':'
         start = len(self.diags)
-        tok = self._next()
-        if tok is None or tok.text != ":":
-            self._fail(line, "usage: map NAME: A -> B { ... }")
+        head = self.tokens[self.pos:self.pos + 4]
+        self.pos += len(head) if head and head[0].text == ":" else len(head[:1])
+        args = self._shape(head, ": NAME -> NAME", "map NAME: A -> B { ... }", line)
+        if args is None:
             self._skip_block()
             return
-        a_tok = self._next()
-        arrow = self._next()
-        b_tok = self._next()
-        if (
-            a_tok is None
-            or arrow is None
-            or b_tok is None
-            or arrow.text != "->"
-            or not _is_name(a_tok.text)
-            or not _is_name(b_tok.text)
-        ):
-            self._fail(line, "usage: map NAME: A -> B { ... }")
-            self._skip_block()
-            return
+        a_name, b_name = (t.text for t in args)
         if not self._open_brace(line):
             return
         statements = self._block_statements()
-        A = self._resolve_space(a_tok.text, a_tok.line)
-        B = self._resolve_space(b_tok.text, b_tok.line)
+        A = self._resolve_space(a_name, args[0].line)
+        B = self._resolve_space(b_name, args[1].line)
         if A is None or B is None:
             return
 
         assign = {}
         for stmt in statements:
             kw = stmt[0]
-            # x -> [word] y ;
-            if len(stmt) < 4 or stmt[1].text != "->" or not _is_name(kw.text):
-                self._fail(kw.line, "usage: source -> [word] target;")
+            if self._shape(stmt, "NAME -> ANY ANY ...", _VALUE_USAGE) is None:
                 continue
             x = kw.text
-            word, rest = self._word_tokens(stmt[2:], kw.line, f"value of '{x}'")
-            if word is None:
+            ref = self._ref(stmt[2:], kw.line, f"value of '{x}'", _VALUE_USAGE)
+            if ref is None:
                 continue
-            if len(rest) != 1 or not _is_name(rest[0].text):
-                self._fail(kw.line, "usage: source -> [word] target;")
-                continue
-            y = rest[0].text
+            word, y = ref
             if x not in A.gen_dim:
                 self._fail(kw.line, f"assignment to unknown generator '{x}'")
-                continue
-            if y not in B.gen_dim:
+            elif y not in B.gen_dim:
                 self._fail(kw.line, f"value of '{x}' names unknown generator '{y}'")
-                continue
-            if x in assign:
+            elif x in assign:
                 self._fail(kw.line, f"duplicate assignment for '{x}'")
-                continue
-            assign[x] = SimplexRef(word, y, B.gen_dim[y] + len(word))
+            else:
+                assign[x] = SimplexRef(word, y, B.gen_dim[y] + len(word))
         f = SimplicialMap(A, B, assign)
-        for msg in f.validate():
-            self._fail(line, f"in map {name}: {msg}")
-        if len(self.diags) > start:
-            return
-        self.doc.entities[name] = ("map", f)
-        self.doc.meta[name] = {"source": a_tok.text, "target": b_tok.text}
+        self._finish("map", name, line, f, start, {"source": a_name, "target": b_name})
 
 
 def parse_document(text):
