@@ -195,6 +195,21 @@ def degeneracy(S, k, ref):
     return word_apply((k,), ref)
 
 
+def _in_normal_form(S, ref):
+    """Whether ref names a simplex of S in normal form.
+
+    Its generator is one of S, its degeneracy word is strictly
+    decreasing with entries in 0..dim-1, and the two add up to its dim.
+    """
+    w = ref.word
+    return (
+        ref.gen in S.gen_dim
+        and S.gen_dim[ref.gen] + len(w) == ref.dim
+        and all(a > b for a, b in zip(w, w[1:]))
+        and all(0 <= k < ref.dim for k in w)
+    )
+
+
 def simplices(S, n):
     """All n-simplices in normal form, degenerate ones included.
 
@@ -463,7 +478,7 @@ class SimplicialMap:
         return word_apply(ref.word, self.assign[ref.gen])
 
     def validate(self):
-        """Violations of totality, dimension, target validity and naturality."""
+        """Violations of totality, dimension, normal form, target validity and naturality."""
         report = []
         A, B = self.source, self.target
         for level in A.gens:
@@ -479,6 +494,8 @@ class SimplicialMap:
                 continue
             if r.dim != A.gen_dim[g] or len(r.word) + B.gen_dim[r.gen] != r.dim:
                 report.append(f"value of '{g}' has wrong dimension")
+            elif not _in_normal_form(B, r):
+                report.append(f"value of '{g}' is not a normal-form simplex")
         if report:
             return report
         for n in range(1, A.bound + 1):
@@ -596,10 +613,8 @@ def _closed_pins(A, B, fixed):
     pins = dict(fixed)
     for g in (g for level in reversed(A.gens) for g in level if g in pins):  # pins grows downwards
         r = pins[g]
-        w = r.word
-        normal = all(a > b for a, b in zip(w, w[1:])) and all(0 <= k < r.dim for k in w)
-        if r.gen not in B.gen_dim or B.gen_dim[r.gen] + len(w) != r.dim or not normal:
-            return None  # not a simplex of B in normal form
+        if not _in_normal_form(B, r):
+            return None
         for k, z in enumerate(A.face_table.get(g, ())):
             v = face(B, k, r)
             y = _face_word(B, z.word, v)

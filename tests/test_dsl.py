@@ -331,3 +331,10 @@ def test_sanitize_renames_dotted_chains():
 def test_sanitize_leaves_clean_sets_alone():
     S = standard_simplex(2)
     assert sanitize_sset(S) is S
+
+
+def test_map_value_with_an_out_of_range_degeneracy_is_located():
+    # [1] a would be s_1 of a vertex: no 1-simplex has that normal form
+    text = EDGE + "map m: edge -> edge { a -> [] a; b -> [] a; e -> [1] a; }\n"
+    diags = diagnostics_of(text)
+    assert diags == ((9, "in map m: value of 'e' is not a normal-form simplex"),)
