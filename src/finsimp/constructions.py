@@ -74,7 +74,13 @@ def _mixed_ref(parts, r1, r2):
     return SimplexRef(word, gen, r1.dim + r2.dim + 1)
 
 
-@lru_cache(maxsize=None)
+# join_parts and product_parts keep this many recent factor pairs: one
+# slice, coslice or mapping space asks for at most MAX_DIM + 2, and a
+# bound lets the sets of finished constructions be freed
+PARTS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PARTS_CACHE_SIZE)
 def join_parts(S, T):
     """The join with its naming maps; identity-shaped parts on empty factors."""
     if S.bound < 0:
@@ -220,7 +226,7 @@ def _product_ref(parts, r1, r2):
     return SimplexRef(word, gen, r1.dim)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARTS_CACHE_SIZE)
 def product_parts(S, T):
     """The product with generator pairs = same-dimension refs, disjoint words."""
     if S.bound < 0 or T.bound < 0:

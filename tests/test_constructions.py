@@ -1,7 +1,9 @@
 """Joins, cones, products, slices: cardinalities, identities, isomorphisms."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -262,6 +264,22 @@ def test_slice_over_a_wide_discrete_map_into_the_edge(low):
     # increasing ones are the non-degenerate ones
     want = tuple(len(list(itertools.combinations(range(low + 1), n + 1))) for n in range(2))
     assert slice_over(p, 1).size_vector() == want
+
+
+def test_parts_caches_let_go_of_finished_diagrams():
+    # 100 fresh one-vertex diagrams, two join_parts keys each: a bounded
+    # cache must drop some, and with them the last reference to the set
+    S = standard_simplex(1)
+    from finsimp.simplicial import SimplicialMap
+
+    sources = []
+    for j in range(100):
+        K = discrete_simplicial_set([f"w{j}"])
+        assert slice_over(SimplicialMap(K, S, {f"w{j}": S.generator("0")}), 1).bound == 1
+        sources.append(weakref.ref(K))
+    del K
+    gc.collect()
+    assert any(ref() is None for ref in sources)
 
 
 def test_slice_depth_guard():
