@@ -46,21 +46,18 @@ class FiniteCategory:
         self.tgt = dict(tgt)
         self.comp = dict(comp)
         self.identities = dict(identities)
+        self._ids = frozenset(self.identities.values())
         self._key = None
 
     def is_identity(self, m):
-        return m in self._identity_set()
-
-    def _identity_set(self):
-        return set(self.identities.values())
+        return m in self._ids
 
     def compose(self, g, f):
         """g after f."""
         return self.comp[(g, f)]
 
     def non_identities(self):
-        ids = self._identity_set()
-        return tuple(m for m in self.morphisms if m not in ids)
+        return tuple(m for m in self.morphisms if m not in self._ids)
 
     def hom(self, a, b):
         return tuple(m for m in self.morphisms if self.src[m] == a and self.tgt[m] == b)
@@ -254,7 +251,9 @@ def chain_ref(C, letters):
     Identity letters at positions P make the chain the degeneracy word
     sorted(P, decreasing) applied to the chain of remaining letters.
     """
-    ids = C._identity_set()
+    ids = C._ids
+    if ids.isdisjoint(letters):
+        return SimplexRef((), ".".join(letters), len(letters))
     word = tuple(p for p in range(len(letters) - 1, -1, -1) if letters[p] in ids)
     core = tuple(m for m in letters if m not in ids)
     gen = ".".join(core) if core else C.src[letters[0]]
@@ -291,12 +290,13 @@ def nerve(C, depth=4):
     if depth > MAX_DIM:
         raise DimensionError(f"nerve depth {depth} exceeds the supported maximum {MAX_DIM}")
     nonid = C.non_identities()
+    out = {}
+    for m in nonid:
+        out.setdefault(C.src[m], []).append(m)
     gens_by_dim = [list(C.objects)]
     chains = {1: [(m,) for m in nonid]}
     for n in range(2, depth + 1):
-        chains[n] = [
-            c + (m,) for c in chains[n - 1] for m in nonid if C.src[m] == C.tgt[c[-1]]
-        ]
+        chains[n] = [c + (m,) for c in chains[n - 1] for m in out.get(C.tgt[c[-1]], ())]
     faces = {}
     for n in range(1, depth + 1):
         level = []
