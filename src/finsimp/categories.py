@@ -169,9 +169,12 @@ def validate_category(C):
             report.append(f"composition entry ({g}, {f}) is not composable")
         elif C.src[h] != C.src[f] or C.tgt[h] != C.tgt[g]:
             report.append(f"composite of ({g}, {f}) has wrong endpoints")
+    incoming = {a: [] for a in C.objects}  # the arrows into a, in declaration order
+    for f in C.morphisms:
+        incoming[C.tgt[f]].append(f)
     for g in C.morphisms:
-        for f in C.morphisms:
-            if C.src[g] == C.tgt[f] and (g, f) not in C.comp:
+        for f in incoming[C.src[g]]:
+            if (g, f) not in C.comp:
                 report.append(f"missing composite for composable pair ({g}, {f})")
     if report:
         return report
@@ -182,12 +185,8 @@ def validate_category(C):
         if C.comp[(f, C.identities[C.src[f]])] != f:
             report.append(f"right identity law fails at '{f}'")
     for h in C.morphisms:
-        for g in C.morphisms:
-            if C.src[h] != C.tgt[g]:
-                continue
-            for f in C.morphisms:
-                if C.src[g] != C.tgt[f]:
-                    continue
+        for g in incoming[C.src[h]]:
+            for f in incoming[C.src[g]]:
                 if C.comp[(h, C.comp[(g, f)])] != C.comp[(C.comp[(h, g)], f)]:
                     report.append(f"associativity fails on ({h}, {g}, {f})")
     if isinstance(C, FiniteGroupoid):

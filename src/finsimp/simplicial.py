@@ -848,7 +848,8 @@ def find_isomorphism(A, B):
     def candidates(g):
         req = tuple(SimplexRef(r.word, phi[r.gen], r.dim) for r in A.face_table.get(g, ()))
         matches = face_index(B, A.gen_dim[g]).get(req, ())
-        return iter([z.gen for z in matches if not z.word and z.gen not in used])
+        # lazy: `used` at every next() is what it was when the iterator was pushed
+        return (z.gen for z in matches if not z.word and z.gen not in used)
 
     # depth-first over flat; stack[p] holds the untried candidates for flat[p]
     stack = []
