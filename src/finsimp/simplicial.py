@@ -124,6 +124,7 @@ class SimplicialSet:
         self._face_memo = {}
         self._simplices_memo = {}
         self._index_memo = {}
+        self._gen_index_memo = {}
 
     def ref(self, word, gen):
         """Build a SimplexRef over a generator of this set."""
@@ -262,6 +263,75 @@ def face_index(S, n, skip=None, positions=None):
     for z in simplices(S, n):
         table.setdefault(tuple([_face_word(S, w, z) for w in positions]), []).append(z)
     memo[key] = table
+    return table
+
+
+def face_lookup(S, n, positions, key):
+    """The n-simplices z with d_w z = key part for each position w, as a list.
+
+    Equal, in order, to face_index(S, n, positions=positions).get(key, []),
+    but derived from the generators (Eilenberg-Zilber: every simplex is
+    s_I y for one generator y and one degeneracy word I), so no table
+    of all n-simplices is built; for keys asked once, such as a pin's.
+    Each position w pulls back to d_w s_I = s_I' d_w' (_lookup_plan):
+    s_I y has key part x there exactly when x = s_I' u, i.e. I' lies in
+    x's word, with u = d_I' x equal to d_w' y.  The y are looked up by
+    their faces d_w' in an index of the dimension-m generators,
+    memoised per (m, w' tuple) on S.
+    """
+    memo = S._gen_index_memo
+    words = [set(x.word) for x in key]
+    out = []
+    for word, m, parts, outer, slots in _lookup_plan(n, positions):
+        if m > S.bound or not S.gens[m]:
+            continue
+        faces = [None] * len(outer)
+        for (inner, _), s, x, x_word in zip(parts, slots, key, words):
+            if not x_word.issuperset(inner):
+                break
+            u = _face_word(S, inner, x)
+            if faces[s] is None:
+                faces[s] = u
+            elif faces[s] != u:
+                break
+        else:
+            index = memo.get((m, outer))
+            if index is None:
+                index = memo[(m, outer)] = _generator_index(S, m, outer)
+            out.extend(SimplexRef(word, g, n) for g in index.get(tuple(faces), ()))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _lookup_plan(n, positions):
+    """Per degeneracy word I on [n], ascending: (I, m, parts, outer, slots) for face_lookup.
+
+    m = n - len(I).  parts[t] is (I', w') with d_w s_I = s_I' d_w' for
+    the t-th position w: the epi-mono factorisation of the vertex map
+    of s_I after the face inclusion missing w.  `outer` lists the
+    distinct w' and slots[t] is the place of the t-th w' in it.
+    """
+    plan = []
+    for m in range(n + 1):
+        for word in itertools.combinations(range(n - 1, -1, -1), n - m):
+            collapse = [p - sum(1 for i in word if i < p) for p in range(n + 1)]
+            parts = []
+            for w in positions:
+                g = [collapse[p] for p in range(n + 1) if p not in w]
+                inner = tuple(q for q in range(len(g) - 2, -1, -1) if g[q] == g[q + 1])
+                parts.append((inner, tuple(v for v in range(m, -1, -1) if v not in g)))
+            outer = tuple(dict.fromkeys(w for _, w in parts))
+            plan.append((word, m, tuple(parts), outer, tuple(outer.index(w) for _, w in parts)))
+    plan.sort()
+    return tuple(plan)
+
+
+def _generator_index(S, m, outer):
+    """The dimension-m generators of S by their faces d_w, w in `outer`, names sorted."""
+    table = {}
+    for g in sorted(S.gens[m]):
+        y = SimplexRef((), g, m)
+        table.setdefault(tuple([_face_word(S, w, y) for w in outer]), []).append(g)
     return table
 
 
@@ -726,9 +796,11 @@ class MapSearch:
     Iterating yields each such map once, as its values on A's top
     cells in declaration order (for a horn or a sphere: its facets,
     vertex lists descending).  The search runs depth first over the
-    cells in _search_plan order.  A cell's value is looked up in
-    face_index(B, n, positions) by its faces that the pins and earlier
-    cells fix; the faces it shares with itself are checked after, and
+    cells in _search_plan order.  A cell's value is looked up by its
+    faces that the pins and earlier cells fix: in face_index(B, n,
+    positions) when no face is a pin's, else among the face_lookup
+    matches of its pinned faces, filed once per search by the rest.
+    The faces it shares with itself are checked after, and
     so is `constrain` on the generators read off it.  The pins are
     first extended to the faces of pinned generators: when they
     disagree, or one fails `constrain`, there are no maps.
@@ -754,7 +826,6 @@ class MapSearch:
         if not self.live:
             return
         B, steps, slots, constrain = self.target, self.steps, self.slots, self.constrain
-        indexes = [face_index(B, n, positions=positions) for n, positions, *_ in steps]
         xs = list(self.pins)
         base = len(xs)
 
@@ -763,16 +834,36 @@ class MapSearch:
                 _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
             ) and (constrain is None or all(constrain(g, _face_word(B, w, x)) for g, w in new))
 
-        def candidates():
-            j = len(xs) - base
-            _, _, ties, checks, new = steps[j]
-            key = []
+        def key(ties):
+            out = []
             for s, w, word in ties:
                 z = xs[s]
                 for k in w:
                     z = face(B, k, z)
-                key.append(word_apply(word, z) if word else z)
-            pool = indexes[j].get(tuple(key), ())
+                out.append(word_apply(word, z) if word else z)
+            return tuple(out)
+
+        # per step, a table from the key of the ties to earlier cells to the candidates:
+        # ties to pins have one key per search, so those candidates are looked up once and
+        # filed by the rest; a step without them uses the full face index
+        indexes = []
+        for n, positions, ties, *_ in steps:
+            pinned = [t for t, tie in enumerate(ties) if tie[0] < base]
+            if not pinned:
+                indexes.append((face_index(B, n, positions=positions), ties))
+                continue
+            pool = face_lookup(B, n, tuple(positions[t] for t in pinned), key([ties[t] for t in pinned]))
+            rest = [t for t, tie in enumerate(ties) if tie[0] >= base]
+            table = {}
+            for x in pool:
+                table.setdefault(tuple([_face_word(B, positions[t], x) for t in rest]), []).append(x)
+            indexes.append((table, [ties[t] for t in rest]))
+
+        def candidates():
+            j = len(xs) - base
+            _, _, _, checks, new = steps[j]
+            table, ties = indexes[j]
+            pool = table.get(key(ties), ())
             if checks or (constrain is not None and new):
                 pool = [x for x in pool if fits(x, checks, new)]
             return iter(pool)

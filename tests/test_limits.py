@@ -11,13 +11,14 @@ from finsimp.categories import (
     nerve,
     poset_category,
 )
-from finsimp.constructions import product
+from finsimp.constructions import join_parts, product
 from finsimp.dsl import parse_document
 from finsimp.groups import cyclic_group, one_object_groupoid
 from finsimp.lifting import is_kan, is_quasicategory, matching_simplices
 from finsimp.limits import colimit, is_final, is_initial, limit, mapping_space, pi0
 from finsimp.simplicial import (
     EMPTY,
+    MapSearch,
     SimplicialMap,
     TruncationError,
     codegeneracy_map,
@@ -244,6 +245,23 @@ def test_limit_cone_map_restricts_to_the_diagram():
     assert cone.assign["r.p"].gen == "4"
     assert cone.assign["r.q"].gen == "6"
     assert cone.assign["l.0"].gen == "2"
+
+
+def test_limit_files_no_full_face_index_for_pinned_cells():
+    # each top cell of a slice level holds a pinned vertex, so its candidates are
+    # derived from generators (face_lookup) rather than a table of all simplices
+    N = divisor_nerve()
+    p = pair_diagram(N, "4", "6")
+    assert limit(p, 2).apex == "2"
+    pinned = set()
+    for n in range(3):
+        parts = join_parts(standard_simplex(n), p.source)
+        search = MapSearch(parts.sset, N, {name: p.assign[y] for y, name in parts.right.items()})
+        for dim, positions, ties, *_ in search.steps:
+            if any(slot < len(search.pins) for slot, *_ in ties):
+                pinned.add((dim, positions))
+    assert pinned
+    assert not pinned & set(N._index_memo)
 
 
 def test_limit_of_empty_diagram_is_terminal_vertex():

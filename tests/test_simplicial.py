@@ -5,13 +5,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsimp.categories import nerve
+from finsimp.categories import nerve, poset_category
+from finsimp.constructions import slice_over
 from finsimp.lifting import HornMap, horn_maps
 from finsimp.simplicial import (
     EMPTY,
     DimensionError,
     MapSearch,
     SimplexRef,
+    SimplicialMap,
     SimplicialSet,
     codegeneracy_map,
     coface_map,
@@ -21,6 +23,7 @@ from finsimp.simplicial import (
     enumerate_maps,
     face,
     face_index,
+    face_lookup,
     find_isomorphism,
     from_level_data,
     horn,
@@ -265,6 +268,34 @@ def test_face_index_files_every_vertex_under_the_empty_key():
     for S in [standard_simplex(2), horn(3, 1)[0], discrete_simplicial_set(["b", "a"])]:
         assert face_index(S, 0) == {(): list(simplices(S, 0))}
     assert face_index(EMPTY, 0) == {}
+
+
+def face_words(n, most):
+    """The face words on [n] deleting at most `most` vertices, fewest first."""
+    return [w for r in range(most + 1) for w in itertools.combinations(range(n, -1, -1), r)]
+
+
+def test_face_lookup_matches_the_face_index_on_nerves_and_a_slice(corpus):
+    # every key of every table of one or two positions, n <= 3
+    N = nerve(poset_category(["1", "2", "3", "4", "6", "12"], lambda a, b: int(b) % int(a) == 0), 3)
+    over_6 = slice_over(SimplicialMap(standard_simplex(0), N, {"0": N.generator("6")}), 2)
+    for S in [nerve(C, 3) for _, C, _ in corpus] + [N, over_6]:
+        for n in range(4):
+            words = face_words(n, n)
+            for positions in [*((w,) for w in words), *itertools.combinations(words, 2)]:
+                for key, zs in face_index(S, n, positions=positions).items():
+                    assert face_lookup(S, n, positions, key) == zs
+
+
+@given(small_simplicial_sets(), st.data())
+def test_face_lookup_matches_the_face_index(S, data):
+    n = data.draw(st.integers(0, 3))
+    positions = tuple(data.draw(st.lists(st.sampled_from(face_words(n, n)), min_size=1, max_size=3)))
+    table = face_index(S, n, positions=positions)
+    parts = [st.sampled_from(simplices(S, n - len(w))) for w in positions]
+    mixed = data.draw(st.lists(st.tuples(*parts), max_size=6))
+    for key in [*table, *mixed]:
+        assert face_lookup(S, n, positions, key) == table.get(key, [])
 
 
 def test_validate_accepts_standard_family():
