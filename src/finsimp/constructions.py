@@ -241,10 +241,16 @@ def product_parts(S, T):
     gens_by_dim = []
     for n in range(bound + 1):
         level = []
+        by_word = {}  # contiguous runs, simplices being sorted by word
+        for r2 in simplices(T, n):
+            by_word.setdefault(r2.word, []).append(r2)
+        partners = {}
         for r1 in simplices(S, n):
-            for r2 in simplices(T, n):
-                if set(r1.word) & set(r2.word):
-                    continue
+            if r1.word not in partners:
+                partners[r1.word] = [
+                    r2 for word, run in by_word.items() if set(r1.word).isdisjoint(word) for r2 in run
+                ]
+            for r2 in partners[r1.word]:
                 name = f"({_ref_label(r1)})x({_ref_label(r2)})"
                 pairs[name] = (r1, r2)
                 names[(r1, r2)] = name

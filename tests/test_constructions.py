@@ -160,6 +160,25 @@ def test_product_levels_multiply(p, q):
         assert len(simplices(P, n)) == len(simplices(S, n)) * len(simplices(T, n))
 
 
+def pairwise_product_generators(S, T, n):
+    """The generator pairs of S x T in dimension n, by a filter on all pairs of n-simplices."""
+    return [(r1, r2) for r1 in simplices(S, n) for r2 in simplices(T, n) if not set(r1.word) & set(r2.word)]
+
+
+def test_product_generators_match_the_pairwise_filter():
+    bz2 = nerve(one_object_groupoid(cyclic_group(2)), 3)
+    cases = [
+        (standard_simplex(3), standard_simplex(4)),
+        (simplex_boundary(2)[0], standard_simplex(2)),
+        (bz2, standard_simplex(1)),
+        (standard_simplex(1), bz2),
+    ]
+    for S, T in cases:
+        parts = product_parts(S, T)
+        for n, level in enumerate(parts.sset.gens):
+            assert [parts.pairs[g] for g in level] == pairwise_product_generators(S, T, n)
+
+
 def test_product_with_point_is_identity_shaped():
     S = simplex_boundary(2)[0]
     P = product(S, standard_simplex(0))
