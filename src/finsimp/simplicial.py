@@ -317,9 +317,9 @@ def _lookup_plan(n, positions):
             collapse = [p - sum(1 for i in word if i < p) for p in range(n + 1)]
             parts = []
             for w in positions:
-                g = [collapse[p] for p in range(n + 1) if p not in w]
-                inner = tuple(q for q in range(len(g) - 2, -1, -1) if g[q] == g[q + 1])
-                parts.append((inner, tuple(v for v in range(m, -1, -1) if v not in g)))
+                vmap = [collapse[p] for p in range(n + 1) if p not in w]
+                inner = tuple(q for q in range(len(vmap) - 2, -1, -1) if vmap[q] == vmap[q + 1])
+                parts.append((inner, tuple(v for v in range(m, -1, -1) if v not in vmap)))
             outer = tuple(dict.fromkeys(w for _, w in parts))
             plan.append((word, m, tuple(parts), outer, tuple(outer.index(w) for _, w in parts)))
     plan.sort()
