@@ -16,7 +16,7 @@ the word calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lifting import horn_scan, matching_simplices
 from .simplicial import (
@@ -203,8 +203,7 @@ def validate_category(C):
     return report
 
 
-@dataclass
-class GroupoidCheck:
+class GroupoidCheck(NamedTuple):
     holds: bool
     inverses: dict | None
     witness: str | None
@@ -332,8 +331,7 @@ def nerve(C, depth=4):
 # Nerve recognition.
 
 
-@dataclass
-class DetectResult:
+class DetectResult(NamedTuple):
     category: FiniteCategory | None
     reason: str | None
 

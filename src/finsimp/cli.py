@@ -38,7 +38,6 @@ from .constructions import (
     slice_over,
 )
 from .dsl import (
-    VALIDATORS,
     DslParseError,
     entity_sset,
     parse_document,
@@ -164,18 +163,15 @@ def _groupoid_report(args, G, **extra):
 # the leading parameters of a shared handler are bound in the command table.
 
 def _cmd_validate(doc, args):
+    # parse_document validated every entity and rejects any document
+    # with a problem, so what is left to report is the parse itself
     names = list(doc.entities) if args.name is None else [args.name]
-    problems = {}
-    for name in names:
-        kind, value = _entity(doc, name)
-        problems[name] = {"kind": kind, "problems": list(VALIDATORS[kind](value))}
-    ok = all(not e["problems"] for e in problems.values())
-    report = {"verdict": "pass" if ok else "fail", "entities": problems}
-    lines = [
-        f"{name}: {info['kind']}, " + ("ok" if not info["problems"] else "; ".join(info["problems"]))
-        for name, info in problems.items()
-    ]
-    return report, "\n".join(lines)
+    kinds = {name: _entity(doc, name)[0] for name in names}
+    report = {
+        "verdict": "pass",
+        "entities": {name: {"kind": kind, "problems": []} for name, kind in kinds.items()},
+    }
+    return report, "\n".join(f"{name}: {kind}, ok" for name, kind in kinds.items())
 
 
 def _cmd_nerve(doc, args):

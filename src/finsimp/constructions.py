@@ -25,8 +25,8 @@ so the cardinality bookkeeping is exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .simplicial import (
     EMPTY,
@@ -51,8 +51,7 @@ from .simplicial import (
 # Join.
 
 
-@dataclass(frozen=True)
-class JoinParts:
+class JoinParts(NamedTuple):
     """A join together with its generator naming maps."""
 
     sset: SimplicialSet
@@ -165,8 +164,7 @@ def join_of_maps(f, g):
     return SimplicialMap(src.sset, tgt.sset, assign)
 
 
-@dataclass
-class Cone:
+class Cone(NamedTuple):
     """A join against a point, with the apex vertex singled out."""
 
     sset: SimplicialSet
@@ -199,8 +197,7 @@ def _ref_label(r):
     return "s" + "s".join(str(k) for k in r.word) + "_" + r.gen
 
 
-@dataclass(frozen=True)
-class ProductParts:
+class ProductParts(NamedTuple):
     """A binary product with its generator naming maps."""
 
     sset: SimplicialSet

@@ -27,7 +27,7 @@ DslParseError carrying line-annotated diagnostics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .actions import GroupoidAction, group_action, validate_action
 from .categories import (
@@ -56,7 +56,8 @@ from .simplicial import (
 
 
 NAME_RE = re.compile(r"[A-Za-z0-9_@]+")
-TOKEN_RE = re.compile(r"->|[A-Za-z0-9_@]+|[{}\[\]();:.,=]")
+# the last alternative catches any other character, for a diagnostic
+TOKEN_RE = re.compile(r"->|[A-Za-z0-9_@]+|[{}\[\]();:.,=]|(\S)")
 MAP_NERVE_DEPTH = 4
 
 
@@ -70,8 +71,7 @@ class DslParseError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
 
@@ -79,20 +79,11 @@ class Token:
 def _tokenize(text, diags):
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = TOKEN_RE.match(line, pos)
-            if not m:
-                diags.append((lineno, f"unexpected character '{ch}'"))
-                pos += 1
-                continue
-            tokens.append(Token(m.group(), lineno))
-            pos = m.end()
+        for m in TOKEN_RE.finditer(line.split("#", 1)[0]):
+            if m.lastindex:
+                diags.append((lineno, f"unexpected character '{m.group()}'"))
+            else:
+                tokens.append(Token(m.group(), lineno))
     return tokens
 
 

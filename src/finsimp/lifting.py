@@ -17,7 +17,7 @@ is degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .simplicial import (
     MapSearch,
@@ -25,7 +25,6 @@ from .simplicial import (
     TruncationError,
     compose,
     enumerate_maps,
-    face,
     face_index,
     horn,
     simplex_boundary,
@@ -34,8 +33,7 @@ from .simplicial import (
 )
 
 
-@dataclass
-class HornMap:
+class HornMap(NamedTuple):
     """A map out of the (n, i) horn, as a SimplicialMap from horn(n, i)."""
 
     n: int
@@ -43,8 +41,7 @@ class HornMap:
     assignment: SimplicialMap
 
 
-@dataclass
-class LiftingProblem:
+class LiftingProblem(NamedTuple):
     """A commuting square: left and right vertical, top and bottom horizontal."""
 
     left: SimplicialMap
@@ -54,20 +51,14 @@ class LiftingProblem:
 
     def validate(self):
         report = []
-        for m, label in [
-            (self.left, "left"),
-            (self.right, "right"),
-            (self.top, "top"),
-            (self.bottom, "bottom"),
-        ]:
+        for label, m in zip(self._fields, self):
             report.extend(f"{label}: {line}" for line in m.validate())
         if not report and compose(self.right, self.top) != compose(self.bottom, self.left):
             report.append("square does not commute")
         return report
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a check.
 
     `holds` is the verdict and `witness` the first counterexample in
@@ -189,12 +180,7 @@ def solve_lift(problem, find_all=False):
     find_all is set, and otherwise its first map, the lift with the
     smallest map_key (or None).
     """
-    left, right, top, bottom = (
-        problem.left,
-        problem.right,
-        problem.top,
-        problem.bottom,
-    )
+    left, right, top, bottom = problem
     fixed = {}
     for a, r in left.assign.items():
         if r.word:
@@ -216,22 +202,6 @@ def solve_lift(problem, find_all=False):
     if find_all:
         return sols
     return sols[0] if sols else None
-
-
-def _simplex_map_from_simplex(n, K, z):
-    """The map from the standard n-simplex classifying the n-simplex z of K."""
-    S = standard_simplex(n)
-    assign = {}
-    for level in S.gens:
-        for g in level:
-            verts = [int(c) for c in g]
-            cur = z
-            # repeatedly face away the missing vertices, from the top
-            missing = [v for v in range(n + 1) if v not in verts]
-            for v in sorted(missing, reverse=True):
-                cur = face(K, v, cur)
-            assign[g] = cur
-    return SimplicialMap(S, K, assign)
 
 
 def _lifting_check(p, N, shapes):
@@ -257,7 +227,8 @@ def _lifting_check(p, N, shapes):
         found = search.first((xs, zY) for xs in search if (zY := unliftable(xs[::-1])) is not None)
         if found is not None:
             top, zY = found
-            bottom = _simplex_map_from_simplex(n, Y, zY)
+            simplex = standard_simplex(n)
+            bottom = enumerate_maps(simplex, Y, fixed={simplex.gens[n][0]: zY})[0]
             return CheckResult(False, LiftingProblem(incl, p, top, bottom), N)
     return CheckResult(True, None, N)
 

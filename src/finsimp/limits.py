@@ -11,7 +11,7 @@ initial vertices of the coslice.  Everything reports witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import (
     _family_maps,
@@ -122,8 +122,7 @@ def is_initial(C, v, N):
     return _extension_check(C, v, N, lambda n: 0)
 
 
-@dataclass
-class ConeResult:
+class ConeResult(NamedTuple):
     """Outcome of a limit/colimit search.
 
     `apex` is the winning vertex of the ambient set and `cone` the

@@ -121,6 +121,7 @@ class SimplicialSet:
             for g in level:
                 self.gen_dim[g] = n
         self._key = None
+        self._hash = None
         self._face_memo = {}
         self._simplices_memo = {}
         self._index_memo = {}
@@ -149,7 +150,9 @@ class SimplicialSet:
         return self._canonical_key() == other._canonical_key()
 
     def __hash__(self):
-        return hash(self._canonical_key())
+        if self._hash is None:
+            self._hash = hash(self._canonical_key())
+        return self._hash
 
     def __repr__(self):
         sizes = ",".join(str(s) for s in self.size_vector())
@@ -581,12 +584,9 @@ class SimplicialMap:
         return report
 
     def _canonical_key(self):
+        # the sets themselves, so that hashing a map reuses their cached hashes
         if self._key is None:
-            self._key = (
-                self.source._canonical_key(),
-                self.target._canonical_key(),
-                tuple(sorted(self.assign.items())),
-            )
+            self._key = (self.source, self.target, tuple(sorted(self.assign.items())))
         return self._key
 
     def __eq__(self, other):

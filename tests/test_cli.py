@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import finsimp
-from finsimp import cli
+from finsimp import cli, dsl
 from finsimp.cli import main
 from finsimp.dsl import parse_document
 
@@ -107,6 +107,20 @@ def test_validate_single_and_unknown(sample, capsys):
     code, _, err = run(capsys, "validate", sample, "Ghost")
     assert code == 2
     assert "Ghost" in err
+
+
+def test_validate_reports_the_parse_without_validating_again(tmp_path, capsys, monkeypatch):
+    # parsing never validates a perm group: its associativity check is |G|^3
+    doc = tmp_path / "s3.fs"
+    doc.write_text("group S3 perm 3 gens (0 1), (0 1 2);\n")
+
+    def refuse(G):
+        raise AssertionError("validate ran a validator")
+
+    monkeypatch.setitem(dsl.VALIDATORS, "group", refuse)
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 0
+    assert out.strip() == "S3: group, ok"
 
 
 def test_nerve_output_reparses(sample, capsys):
@@ -347,3 +361,21 @@ def test_module_entry_point(sample):
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost every command start-up; the child sees this process's finsimp
+    src = os.path.dirname(os.path.dirname(finsimp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import finsimp.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

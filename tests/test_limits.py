@@ -279,6 +279,15 @@ def test_limit_can_fail():
     assert res.passers == ()
 
 
+def test_failing_results_are_falsy():
+    # results are named tuples, which are truthy unless __bool__ says otherwise
+    kan = is_kan(standard_simplex(1), 2)
+    assert not kan.holds and not kan
+    N = nerve(poset_category(["a", "b"], lambda x, y: x == y), 2)
+    res = colimit(pair_diagram(N, "a", "b"), 1)
+    assert res.apex is None and not res
+
+
 # ---------------------------------------------------------------------------
 # Functor spaces assemble into quasi-categories.
 

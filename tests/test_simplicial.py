@@ -349,6 +349,21 @@ def test_identity_and_compose():
     assert compose(i, incl) == incl
 
 
+def test_maps_between_equal_distinct_sets_compare_and_hash_equal():
+    S = standard_simplex(2)
+    T = SimplicialSet(S.gens, S.face_table)
+    assert S is not T and S == T and hash(S) == hash(T)
+    f, g = identity_map(S), identity_map(T)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+    # an equal assignment into a different target is a different map
+    point = standard_simplex(0)
+    into_edge, into_triangle = (
+        SimplicialMap(point, X, {"0": X.generator("0")}) for X in (standard_simplex(1), S)
+    )
+    assert into_edge != into_triangle
+
+
 def test_compose_requires_matching_ends():
     with pytest.raises(ValueError):
         compose(identity_map(standard_simplex(1)), identity_map(standard_simplex(2)))
