@@ -19,8 +19,11 @@ so the cardinality bookkeeping is exact:
   and degeneracies precompose with coface/codegeneracy joined with the
   identity of K.  Coslices are dual.  Slices, coslices and the mapping
   spaces of `limits` are one construction, `_family_maps`: pinned maps
-  out of a family of shapes over the standard simplices, with the
-  induced cofaces and codegeneracies built once per (n, k).
+  out of a family of shapes over the standard simplices, kept as value
+  rows (a map's values on its source's generators, in order).  Each
+  induced coface and codegeneracy becomes a gather plan once per
+  (n, k), so a face or degeneracy of a row is an index gather, and
+  the rows file into from_level_data as plain tuples.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ from .simplicial import (
     SimplicialSet,
     codegeneracy_map,
     coface_map,
-    compose,
-    enumerate_maps,
     face,
     from_level_data,
     identity_map,
+    map_rows,
+    maps_of_rows,
     simplices,
     standard_simplex,
+    word_apply,
 )
 
 
@@ -298,39 +302,55 @@ def product_projections(S, T):
 # Slices and coslices.
 
 
-def _family_maps(S, depth, induced, pin):
+def _gather_plan(f):
+    """f as a gather: per generator x of f's source, (index of f(x)'s generator in f's target, its word).
+
+    Indices count the target's generators in declaration order, the
+    order of a value row, so a row F of a map out of f's target gives
+    F after f as _gather(plan, F).
+    """
+    index = {g: i for i, g in enumerate(g for level in f.target.gens for g in level)}
+    return tuple((index[r.gen], r.word) for r in (f.assign[x] for level in f.source.gens for x in level))
+
+
+def _gather(plan, row):
+    return tuple([word_apply(w, row[i]) if w else row[i] for i, w in plan])
+
+
+def _family_maps(S, depth, shape, induced, pin):
     """The simplicial set of pinned maps from a family of shapes into S, to `depth`.
 
-    `induced(theta)` is the family's map for a map theta of standard
-    simplices (theta joined with, or multiplied by, an identity), and
-    level n lists the maps from the shape over the n-simplex into S
-    that agree with `pin(n)`, in enumeration order.  Faces and
+    `shape(n)` is the family's shape over the standard n-simplex and
+    `induced(theta)` the family's map for a map theta of standard
+    simplices (theta joined with, or multiplied by, an identity).
+    Level n lists the maps from shape(n) into S that agree with
+    `pin(n)`, as value rows (map_rows) in enumeration order.  Faces and
     degeneracies precompose with the induced cofaces and codegeneracies,
-    each built once.  Returns (sset, levels, to_ref) as from_level_data.
+    each turned into a gather plan once.  Returns (sset, levels, to_ref)
+    as from_level_data.
     """
-    levels = [
-        enumerate_maps(induced(identity_map(standard_simplex(n))).source, S, fixed=pin(n))
-        for n in range(depth + 1)
-    ]
+    levels = [map_rows(shape(n), S, fixed=pin(n)) for n in range(depth + 1)]
     coface = {
-        (n, k): induced(coface_map(n, k)) for n in range(1, depth + 1) for k in range(n + 1)
+        (n, k): _gather_plan(induced(coface_map(n, k))) for n in range(1, depth + 1) for k in range(n + 1)
     }
     codegeneracy = {
-        (n, k): induced(codegeneracy_map(n + 1, k)) for n in range(depth) for k in range(n + 1)
+        (n, k): _gather_plan(induced(codegeneracy_map(n + 1, k))) for n in range(depth) for k in range(n + 1)
     }
     sset, to_ref = from_level_data(
         levels,
-        lambda n, k, F: compose(F, coface[(n, k)]),
-        lambda n, k, F: compose(F, codegeneracy[(n, k)]),
+        lambda n, k, row: _gather(coface[(n, k)], row),
+        lambda n, k, row: _gather(codegeneracy[(n, k)], row),
     )
     return sset, levels, to_ref
 
 
-def _cone_maps(p, depth, under):
-    """Level elements and simplicial set of the slice, or the coslice when `under`.
+def _cone_rows(p, depth, under):
+    """The slice of p, or the coslice when `under`, with its level rows.
 
     Level n holds the maps (simplex * K) -> S, or (K * simplex) -> S,
-    restricting to p on K.
+    restricting to p on K, as value rows over shape(n), the join.
+    Returns (sset, shape, levels, vertex_of), vertex_of naming the
+    level-0 generator of each vertex row.
     """
     K, S = p.source, p.target
     if depth < 0 or depth > MAX_DIM:
@@ -341,14 +361,25 @@ def _cone_maps(p, depth, under):
     def joined(simplex_part, k_part):
         return (k_part, simplex_part) if under else (simplex_part, k_part)
 
+    def shape(n):
+        return join_parts(*joined(standard_simplex(n), K)).sset
+
     def pin(n):
         parts = join_parts(*joined(standard_simplex(n), K))
         return {name: p.assign[y] for y, name in (parts.left if under else parts.right).items()}
 
     induced = lambda theta: join_of_maps(*joined(theta, id_K))
-    sset, levels, to_ref = _family_maps(S, depth, induced, pin)
-    vertex_of = {to_ref[(0, F)].gen: F for F in levels[0]}
-    return sset, levels, vertex_of
+    sset, levels, to_ref = _family_maps(S, depth, shape, induced, pin)
+    vertex_of = {to_ref[(0, row)].gen: row for row in levels[0]}
+    return sset, shape, levels, vertex_of
+
+
+def _cone_maps(p, depth, under):
+    """_cone_rows with the rows made SimplicialMaps: (sset, level maps, vertex_of)."""
+    sset, shape, levels, vertex_of = _cone_rows(p, depth, under)
+    maps = [maps_of_rows(shape(n), p.target, rows) for n, rows in enumerate(levels)]
+    by_row = dict(zip(levels[0], maps[0]))
+    return sset, maps, {name: by_row[row] for name, row in vertex_of.items()}
 
 
 def slice_data(p, depth):
@@ -364,7 +395,7 @@ def slice_data(p, depth):
 
 def slice_over(p, depth):
     """The slice simplicial set of the map p : K -> S, up to `depth`."""
-    return slice_data(p, depth)[0]
+    return _cone_rows(p, depth, under=False)[0]
 
 
 def coslice_data(p, depth):
@@ -374,4 +405,4 @@ def coslice_data(p, depth):
 
 def coslice_under(p, depth):
     """The coslice simplicial set of the map p : K -> S, up to `depth`."""
-    return coslice_data(p, depth)[0]
+    return _cone_rows(p, depth, under=True)[0]

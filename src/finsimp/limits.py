@@ -14,13 +14,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .constructions import (
+    _cone_rows,
     _family_maps,
-    coslice_data,
     left_cone,
     product_of_maps,
     product_parts,
     right_cone,
-    slice_data,
 )
 from .lifting import FinalityResult, check_depth
 from .simplicial import (
@@ -30,6 +29,7 @@ from .simplicial import (
     TruncationError,
     face_index,
     identity_map,
+    maps_of_rows,
     simplex_boundary,
     standard_simplex,
 )
@@ -67,7 +67,8 @@ def mapping_space(C, x, y, depth):
                 pin[name] = SimplexRef(tuple(range(r1.dim - 1, -1, -1)), ends[r2.gen], r1.dim)
         return pin
 
-    return _family_maps(C, depth, lambda theta: product_of_maps(theta, id_edge), end_pin)[0]
+    shape = lambda n: product_parts(standard_simplex(n), edge).sset
+    return _family_maps(C, depth, shape, lambda theta: product_of_maps(theta, id_edge), end_pin)[0]
 
 
 def pi0(S):
@@ -141,17 +142,23 @@ class ConeResult(NamedTuple):
 
 
 def _cone_search(p, N, under):
-    """The first final vertex of the slice (initial vertex of the coslice when `under`)."""
+    """The first final vertex of the slice (initial vertex of the coslice when `under`).
+
+    The scan runs on the slice's value rows; only the winning cone
+    becomes a SimplicialMap.
+    """
     if N < 1:
         raise ValueError("depth must be >= 1")
-    sl, _, vertex_of = (coslice_data if under else slice_data)(p, N)
+    sl, shape, _, vertex_of = _cone_rows(p, N, under)
     apex = (right_cone if under else left_cone)(p.source).apex
     extremal = is_initial if under else is_final
     cones = [vertex_of[name] for name in sl.gens[0] if extremal(sl, name, N).holds]
     if not cones:
         return ConeResult(None, None, N, ())
-    passers = tuple(F.assign[apex].gen for F in cones)
-    return ConeResult(passers[0], cones[0], N, passers)
+    source = shape(0)
+    at = [g for level in source.gens for g in level].index(apex)
+    passers = tuple(row[at].gen for row in cones)
+    return ConeResult(passers[0], maps_of_rows(source, p.target, cones[:1])[0], N, passers)
 
 
 def limit(p, N):

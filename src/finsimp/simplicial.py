@@ -903,6 +903,15 @@ class MapSearch:
         return SimplicialMap(self.source, self.target, zip(self.flat, self.values(best[0]))), best[1]
 
 
+def map_rows(A, B, fixed=None, limit=None, constrain=None):
+    """The maps of enumerate_maps as value rows: values on A's generators in declaration order.
+
+    Rows sort like map_key, so the list is enumerate_maps' order.
+    """
+    search = MapSearch(A, B, fixed, constrain)
+    return sorted(search.values(tops) for tops in search)[:limit]
+
+
 def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
     """All simplicial maps from A to B, optionally pinned on some generators.
 
@@ -913,9 +922,13 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
     before it.  Output is sorted by map_key, independent of the search;
     `limit` keeps the first `limit` maps, the smallest.
     """
-    search = MapSearch(A, B, fixed, constrain)
-    rows = sorted(search.values(tops) for tops in search)[:limit]
-    return [SimplicialMap(A, B, zip(search.flat, row)) for row in rows]
+    return maps_of_rows(A, B, map_rows(A, B, fixed, limit, constrain))
+
+
+def maps_of_rows(A, B, rows):
+    """The SimplicialMaps from A to B with these value rows, in order."""
+    flat = [g for level in A.gens for g in level]
+    return [SimplicialMap(A, B, zip(flat, row)) for row in rows]
 
 
 def map_key(f):
