@@ -295,28 +295,34 @@ def nerve(C, depth=4):
     chains = {1: [(m,) for m in nonid]}
     for n in range(2, depth + 1):
         chains[n] = [c + (m,) for c in chains[n - 1] for m in out.get(C.tgt[c[-1]], ())]
+    # the chains of the last two levels by their refs: every face is one of them, or a
+    # degeneracy s_(k-1) of a chain two levels down where d_k composes to an identity
+    ids = C._ids
+    below = {}
+    prev = {(o,): SimplexRef((), o, 0) for o in C.objects}
     faces = {}
     for n in range(1, depth + 1):
         level = []
+        refs_n = {}
         for c in chains.get(n, []):
             name = ".".join(c)
             level.append(name)
+            refs_n[c] = SimplexRef((), name, n)
             if n == 1:
-                faces[name] = (
-                    SimplexRef((), C.tgt[c[0]], 0),
-                    SimplexRef((), C.src[c[0]], 0),
-                )
-            else:
-                refs = []
-                for k in range(n + 1):
-                    if k == 0:
-                        refs.append(chain_ref(C, c[1:]))
-                    elif k == n:
-                        refs.append(chain_ref(C, c[:-1]))
-                    else:
-                        merged = c[: k - 1] + (C.comp[(c[k], c[k - 1])],) + c[k + 1:]
-                        refs.append(chain_ref(C, merged))
-                faces[name] = tuple(refs)
+                faces[name] = (prev[(C.tgt[c[0]],)], prev[(C.src[c[0]],)])
+                continue
+            refs = [prev[c[1:]]]
+            for k in range(1, n):
+                m = C.comp[(c[k], c[k - 1])]
+                if m not in ids:
+                    refs.append(prev[c[: k - 1] + (m,) + c[k + 1:]])
+                else:
+                    core = c[: k - 1] + c[k + 1:]
+                    gen = below[core].gen if core else C.src[c[0]]
+                    refs.append(SimplexRef((k - 1,), gen, n - 1))
+            refs.append(prev[c[:-1]])
+            faces[name] = tuple(refs)
+        below, prev = prev, refs_n
         gens_by_dim.append(level)
 
     frontier = set(C.objects)

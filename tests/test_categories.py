@@ -238,3 +238,26 @@ def test_detect_result_shape():
     res = nerve_detect(nerve(arrow_category(), 2), 2)
     assert isinstance(res, DetectResult)
     assert res.reason is None
+
+
+def reference_nerve_faces(C, depth):
+    """The nerve's face table with every face rebuilt by chain_ref."""
+    N = nerve(C, depth)
+    faces = {}
+    for n in range(1, depth + 1):
+        for name in N.gens[n]:
+            c = tuple(name.split("."))
+            if n == 1:
+                faces[name] = (SimplexRef((), C.tgt[c[0]], 0), SimplexRef((), C.src[c[0]], 0))
+                continue
+            merged = [c[: k - 1] + (C.comp[(c[k], c[k - 1])],) + c[k + 1:] for k in range(1, n)]
+            faces[name] = tuple(chain_ref(C, f) for f in [c[1:], *merged, c[:-1]])
+    return faces
+
+
+def test_nerve_faces_looked_up_equal_chain_ref(corpus):
+    for name, C, _ in corpus:
+        for depth in range(5):
+            N = nerve(C, depth)
+            assert N.face_table == reference_nerve_faces(C, depth), (name, depth)
+            assert set(N.face_table) == {g for level in N.gens[1:] for g in level}
