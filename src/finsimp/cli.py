@@ -390,13 +390,14 @@ HANDLERS = {c.name: c.run for c in COMMANDS}
 # Argument parsing.
 
 
-def _build_parser():
+def _build_parser(commands=COMMANDS):
+    """The parser with subparsers for `commands`; the full table gives the full help."""
     parser = argparse.ArgumentParser(
         prog="finsimp",
         description="checks and constructions on finite simplicial sets and groupoids",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for c in COMMANDS:
+    for c in commands:
         p = sub.add_parser(c.name, help=c.help)
         p.add_argument("doc", help="document path, or - for stdin")
         for arg, h in c.positionals:
@@ -426,7 +427,10 @@ def _load_document(path):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's subparser: building all of them is most of a call's parsing
+    # time, and help, usage and unknown-command errors still see the full table
+    parser = _build_parser([c for c in COMMANDS if argv[:1] == [c.name]] or COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

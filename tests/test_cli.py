@@ -379,3 +379,16 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_main_builds_only_the_named_subparser(sample, capsys, monkeypatch):
+    built = []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda commands: built.append(commands) or real(commands))
+    assert run(capsys, "validate", sample, "Pair")[0] == 0
+    assert [c.name for c in built[-1]] == ["validate"]
+    code, _, err = run(capsys, "no-such-command", sample)
+    assert code == 2 and "invalid choice" in err and "'check-kan'" in err
+    assert built[-1] == cli.COMMANDS
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and all(c.name in out for c in cli.COMMANDS)
