@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
+
 from .categories import as_groupoid, monoid_category
 
 
@@ -105,9 +108,11 @@ def perm_group(degree, generators):
         frontier = nxt
     perms = sorted(closure)
     names = {p: _perm_name(p) for p in perms}
-    mul = {
-        (names[p], names[q]): names[_compose_perm(p, q)] for p in perms for q in perms
-    }
+    if degree < 2:  # itemgetter of one index gives a scalar, of none raises
+        gathers = [(names[q], partial(_compose_perm, q=q)) for q in perms]
+    else:  # p * q = itemgetter(*q)(p), one C-level gather per entry
+        gathers = [(names[q], itemgetter(*q)) for q in perms]
+    mul = {(names[p], b): names[gather(p)] for p in perms for b, gather in gathers}
     return FiniteGroup([names[p] for p in perms], names[ident], mul)
 
 

@@ -1,10 +1,14 @@
 """Group tables, permutation groups, cosets, one-object groupoids."""
 
+import itertools
+
 import pytest
 
 from finsimp.categories import validate_category
 from finsimp.groups import (
     FiniteGroup,
+    _compose_perm,
+    _perm_name,
     cycles_to_images,
     cyclic_group,
     is_subgroup,
@@ -90,3 +94,14 @@ def test_validate_group_reports_problems():
     assert any("inverse" in line for line in report)
     missing = FiniteGroup(["e", "a"], "e", {("e", "e"): "e"})
     assert any("missing" in line for line in validate_group(missing))
+
+
+def test_perm_group_table_matches_composition():
+    # the table is filled by itemgetter gathers; _compose_perm is the definition
+    for degree in range(1, 6):
+        G = symmetric_group(degree)
+        perms = {_perm_name(p): p for p in itertools.permutations(range(degree))}
+        assert set(G.elements) == set(perms)
+        want = {(a, b): _perm_name(_compose_perm(perms[a], perms[b])) for a in G.elements for b in G.elements}
+        assert G.mul == want
+        assert list(G.mul) == list(want)
