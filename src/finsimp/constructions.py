@@ -326,8 +326,8 @@ def _family_maps(S, depth, shape, induced, pin):
     Level n lists the maps from shape(n) into S that agree with
     `pin(n)`, as value rows (map_rows) in enumeration order.  Faces and
     degeneracies precompose with the induced cofaces and codegeneracies,
-    each turned into a gather plan once.  Returns (sset, levels, to_ref)
-    as from_level_data.
+    each turned into a gather plan once.  Returns (sset, levels); the
+    level-0 rows are the vertices sset.gens[0], in order.
     """
     levels = [map_rows(shape(n), S, fixed=pin(n)) for n in range(depth + 1)]
     coface = {
@@ -336,12 +336,12 @@ def _family_maps(S, depth, shape, induced, pin):
     codegeneracy = {
         (n, k): _gather_plan(induced(codegeneracy_map(n + 1, k))) for n in range(depth) for k in range(n + 1)
     }
-    sset, to_ref = from_level_data(
+    sset, _ = from_level_data(
         levels,
         lambda n, k, row: _gather(coface[(n, k)], row),
         lambda n, k, row: _gather(codegeneracy[(n, k)], row),
     )
-    return sset, levels, to_ref
+    return sset, levels
 
 
 def _cone_rows(p, depth, under):
@@ -349,8 +349,7 @@ def _cone_rows(p, depth, under):
 
     Level n holds the maps (simplex * K) -> S, or (K * simplex) -> S,
     restricting to p on K, as value rows over shape(n), the join.
-    Returns (sset, shape, levels, vertex_of), vertex_of naming the
-    level-0 generator of each vertex row.
+    Returns (sset, shape, levels).
     """
     K, S = p.source, p.target
     if depth < 0 or depth > MAX_DIM:
@@ -369,17 +368,15 @@ def _cone_rows(p, depth, under):
         return {name: p.assign[y] for y, name in (parts.left if under else parts.right).items()}
 
     induced = lambda theta: join_of_maps(*joined(theta, id_K))
-    sset, levels, to_ref = _family_maps(S, depth, shape, induced, pin)
-    vertex_of = {to_ref[(0, row)].gen: row for row in levels[0]}
-    return sset, shape, levels, vertex_of
+    sset, levels = _family_maps(S, depth, shape, induced, pin)
+    return sset, shape, levels
 
 
 def _cone_maps(p, depth, under):
     """_cone_rows with the rows made SimplicialMaps: (sset, level maps, vertex_of)."""
-    sset, shape, levels, vertex_of = _cone_rows(p, depth, under)
+    sset, shape, levels = _cone_rows(p, depth, under)
     maps = [maps_of_rows(shape(n), p.target, rows) for n, rows in enumerate(levels)]
-    by_row = dict(zip(levels[0], maps[0]))
-    return sset, maps, {name: by_row[row] for name, row in vertex_of.items()}
+    return sset, maps, dict(zip(sset.gens[0], maps[0]))
 
 
 def slice_data(p, depth):

@@ -149,13 +149,12 @@ def _cone_search(p, N, under):
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
-    sl, shape, _, vertex_of = _cone_rows(p, N, under)
-    apex = (right_cone if under else left_cone)(p.source).apex
+    sl, _, levels = _cone_rows(p, N, under)
+    source, apex = (right_cone if under else left_cone)(p.source)
     extremal = is_initial if under else is_final
-    cones = [vertex_of[name] for name in sl.gens[0] if extremal(sl, name, N).holds]
+    cones = [row for name, row in zip(sl.gens[0], levels[0]) if extremal(sl, name, N).holds]
     if not cones:
         return ConeResult(None, None, N, ())
-    source = shape(0)
     at = [g for level in source.gens for g in level].index(apex)
     passers = tuple(row[at].gen for row in cones)
     return ConeResult(passers[0], maps_of_rows(source, p.target, cones[:1])[0], N, passers)
