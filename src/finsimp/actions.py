@@ -4,13 +4,18 @@ An action of a groupoid G on a family of sets indexed by its objects
 is a table sending (arrow g : a -> b, point x over a) to a point over
 b, compatible with units and composition.  The action groupoid has the
 points as objects and one arrow g@x per such pair.  Saturation,
-restriction to object subsets, orbit groupoids of coset translation,
-and functor groupoids are all realized by direct table constructions.
+restriction to object subsets and orbit groupoids of coset translation
+are direct table constructions.  The functor groupoid H -> G takes its
+functors from the map search, as the maps of 2-truncated nerves, and
+its transformations as conjugations by choices of components.  Its
+objects F0, F1, ... follow object images in G.objects order, then hom
+choices in G.hom order.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .categories import (
     FiniteGroupoid,
@@ -20,7 +25,7 @@ from .categories import (
 )
 from .groups import is_subgroup, left_cosets, one_object_groupoid
 from .lifting import CheckResult
-from .simplicial import simplices
+from .simplicial import map_rows, simplices
 
 
 class FamilyOverObjects:
@@ -238,83 +243,68 @@ def groupoid_nerve(G, depth):
     return N
 
 
-def _functor_assignments(H, G):
-    """All functors H -> G as (object map, morphism map) pairs."""
-    non_ids = H.non_identities()
-    out = []
-    for images in itertools.product(G.objects, repeat=len(H.objects)):
-        f0 = dict(zip(H.objects, images))
-        pools = [G.hom(f0[H.src[h]], f0[H.tgt[h]]) for h in non_ids]
-        for choice in itertools.product(*pools):
-            f1 = dict(zip(non_ids, choice))
-            for a in H.objects:
-                f1[H.identities[a]] = G.identities[f0[a]]
-            if all(
-                f1[gh] == G.comp[(f1[g], f1[h])] for (g, h), gh in H.comp.items()
-            ):
-                out.append((f0, f1))
-    return out
-
-
-def _transformations(H, G, f, g):
-    """Natural transformations f => g, as component tuples over H.objects."""
-    f0, f1 = f
-    g0, g1 = g
-    pools = [G.hom(f0[a], g0[a]) for a in H.objects]
-    out = []
-    for eta in itertools.product(*pools):
-        comp_at = dict(zip(H.objects, eta))
-        if all(
-            G.comp[(comp_at[H.tgt[h]], f1[h])] == G.comp[(g1[h], comp_at[H.src[h]])]
-            for h in H.non_identities()
-        ):
-            out.append(eta)
-    return out
-
-
 def functor_groupoid(H, G):
     """Functors H -> G with natural transformations as arrows.
 
-    Both inputs must be groupoids, so every transformation is
-    invertible.  Objects are named F0, F1, ... in enumeration order.
+    Both inputs must be groupoids.  The functors are the maps
+    nerve(H, 2) -> nerve(G, 2) of the map search, the nerve being fully
+    faithful and 2-coskeletal.  They are named F0, F1, ... by object
+    images in G.objects order, then hom choices in G.hom order.  As G
+    is a groupoid, each choice of components eta_a out of f(a) is one
+    transformation f => g, to the conjugate g(h) = eta_tgt(h) f(h)
+    eta_src(h)^-1.  The arrows out of F<i> are numbered by target, then
+    by components in G.hom order; they compose and invert component by
+    component.
     """
-    functors = _functor_assignments(H, G)
+    k = len(H.objects)
+    nonid = H.non_identities()
+    obj_pos = {a: p for p, a in enumerate(G.objects)}
+    mor_pos = {m: p for p, m in enumerate(G.morphisms)}
+    # a functor is its object images over H.objects, then its images of H's non-identities;
+    # a degenerate edge value is the identity of its vertex
+    functors = sorted(
+        (
+            tuple(r.gen for r in row[:k])
+            + tuple(G.identities[r.gen] if r.word else r.gen for r in row[k:k + len(nonid)])
+            for row in map_rows(nerve(H, 2), nerve(G, 2))
+        ),
+        key=lambda f: [obj_pos[a] for a in f[:k]] + [mor_pos[m] for m in f[k:]],
+    )
+    index = {f: i for i, f in enumerate(functors)}
+    at = {a: p for p, a in enumerate(H.objects)}
+    ends = [(at[H.src[h]], at[H.tgt[h]]) for h in nonid]
+    out_of = {a: [] for a in G.objects}
+    for m in G.morphisms:
+        out_of[G.src[m]].append(m)
+    comp, inv = G.comp, G.inverses
+
     objects = [f"F{i}" for i in range(len(functors))]
-
-    arrows = {}
-    names = []
-    src = {}
-    tgt = {}
-    counter = 0
+    arrows = {}  # (i, components) -> name
+    starting = []  # per i, the (components, j, name) of the arrows out of F<i>
+    names, src, tgt = [], {}, {}
+    counter = itertools.count()
     for i, f in enumerate(functors):
-        for j, g in enumerate(functors):
-            for eta in _transformations(H, G, f, g):
-                if i == j and all(
-                    G.is_identity(c) for c in eta
-                ):
-                    name = f"id_F{i}"
-                else:
-                    name = f"t{counter}"
-                    counter += 1
-                arrows[(i, j, eta)] = name
-                names.append(name)
-                src[name] = objects[i]
-                tgt[name] = objects[j]
-    _unique_names(names, "transformation")
+        unit = tuple(G.identities[a] for a in f[:k])
+        found = []
+        for eta in itertools.product(*(out_of[a] for a in f[:k])):
+            g = tuple(G.tgt[c] for c in eta) + tuple(
+                comp[(comp[(eta[t], m)], inv[eta[s]])] for m, (s, t) in zip(f[k:], ends)
+            )
+            found.append((index[g], eta))
+        found.sort(key=itemgetter(0))  # stable: product order within a target
+        starting.append([])
+        for j, eta in found:
+            name = f"id_F{i}" if eta == unit else f"t{next(counter)}"
+            arrows[(i, eta)] = name
+            starting[i].append((eta, j, name))
+            names.append(name)
+            src[name], tgt[name] = objects[i], objects[j]
 
-    identities = {}
-    for i, f in enumerate(functors):
-        f0 = f[0]
-        eta = tuple(G.identities[f0[a]] for a in H.objects)
-        identities[objects[i]] = arrows[(i, i, eta)]
-    comp = {}
-    inverses = {}
-    for (i, j, eta), n1 in arrows.items():
-        inv = tuple(G.inverses[c] for c in eta)
-        inverses[n1] = arrows[(j, i, inv)]
-        for (j2, k, mu), n2 in arrows.items():
-            if j2 != j:
-                continue
-            vert = tuple(G.comp[(m, e)] for m, e in zip(mu, eta))
-            comp[(n2, n1)] = arrows[(i, k, vert)]
-    return FiniteGroupoid(objects, names, src, tgt, comp, identities, inverses)
+    identities = {a: f"id_{a}" for a in objects}
+    table, inverses = {}, {}
+    for i, out in enumerate(starting):
+        for eta, j, name in out:
+            inverses[name] = arrows[(j, tuple(inv[c] for c in eta))]
+            for mu, _, after in starting[j]:
+                table[(after, name)] = arrows[(i, tuple(comp[(m, c)] for m, c in zip(mu, eta)))]
+    return FiniteGroupoid(objects, names, src, tgt, table, identities, inverses)

@@ -778,15 +778,15 @@ def _search_plan(A, pinned):
             read[g], home[g] = (base + j, w), (base + c, w)
         slots[c] = base + j
         steps.append((n, tuple(t[0] for t in ties), tuple(t[1:] for t in ties), checks, list(new.items())))
-    registers, program = {}, []
-
-    def register(s, w):
-        if w and (s, w) not in registers:
-            program.append((register(s, w[:-1]), w[-1]))
-            registers[(s, w)] = base + len(cells) + len(program) - 1
-        return registers[(s, w)] if w else s
-
-    out = [register(*home[g]) for level in A.gens for g in level]
+    registers, program, out = {}, [], []  # registers: program step (register, face) -> its register
+    for g in (g for level in A.gens for g in level):
+        r, w = home[g]
+        for k in w:
+            if (r, k) not in registers:
+                registers[(r, k)] = base + len(cells) + len(program)
+                program.append((r, k))
+            r = registers[(r, k)]
+        out.append(r)
     return pins, steps, slots, program, out
 
 

@@ -4,6 +4,8 @@ import itertools
 
 from hypothesis import strategies as st
 
+from finsimp.categories import as_groupoid, discrete_category, disjoint_union_category
+from finsimp.groups import one_object_groupoid, perm_group
 from finsimp.simplicial import SimplexRef, SimplicialSet, face, simplices, validate
 
 
@@ -29,3 +31,22 @@ def small_simplicial_sets(draw):
     S = SimplicialSet([verts, edges, [f"t{j}" for j in range(len(tops))]], faces)
     assert validate(S) == []
     return S
+
+
+@st.composite
+def _groupoid_pieces(draw):
+    """A one-object groupoid of a perm_group of degree <= 3 on 1-2 random generators, or a discrete one."""
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 3))
+        gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+        return one_object_groupoid(perm_group(degree, gens))
+    return as_groupoid(discrete_category([f"o{j}" for j in range(draw(st.integers(0, 2)))]))
+
+
+def small_groupoids():
+    """A groupoid piece (see _groupoid_pieces) or the disjoint union of two."""
+    pieces = _groupoid_pieces()
+    return st.one_of(
+        pieces,
+        st.builds(lambda C, D: as_groupoid(disjoint_union_category(C, D)), pieces, pieces),
+    )

@@ -3,7 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
 
+import reference_functors as ref
 from conftest import walking_isomorphism
 from finsimp.actions import (
     FamilyOverObjects,
@@ -33,6 +35,7 @@ from finsimp.groups import (
 )
 from finsimp.lifting import is_kan
 from finsimp.limits import pi0
+from strategies import small_groupoids
 
 
 def trivial_action():
@@ -356,3 +359,69 @@ def test_functor_groupoid_bz3_endofunctors():
     assert len(F.morphisms) == 9
     assert validate_category(F) == []
     assert is_groupoid(F).holds
+
+
+def tables(F):
+    """Every table of a groupoid, dicts in insertion order."""
+    return (
+        F.objects,
+        F.morphisms,
+        list(F.src.items()),
+        list(F.tgt.items()),
+        list(F.comp.items()),
+        list(F.identities.items()),
+        list(F.inverses.items()),
+    )
+
+
+def fixed_groupoids():
+    B = one_object_groupoid
+    S3 = symmetric_group(3)
+    discrete = as_groupoid(discrete_category(["a", "b"]))
+    return {
+        "BZ2": B(cyclic_group(2)),
+        "BZ3": B(cyclic_group(3)),
+        "BZ4": B(cyclic_group(4)),
+        "BS3": B(S3),
+        "discrete": discrete,
+        "orbits": orbit_groupoid(S3, subgroup_closure(S3, ["p102"])),
+        "union": as_groupoid(disjoint_union_category(B(cyclic_group(2)), discrete)),
+    }
+
+
+def test_functor_groupoid_matches_the_brute_force_reference_on_fixed_pairs():
+    gpds = fixed_groupoids()
+    # the reference's time grows with the hom choices it tries (orbits has 15 arrows:
+    # 3^15 of them into BZ3) and with the square of the arrows (864 from union to BS3)
+    slow = {("union", "BS3"), ("union", "orbits")}
+    slow.update(("orbits", g) for g in gpds if g not in ("BZ2", "discrete"))
+    for h, g in itertools.product(gpds, repeat=2):
+        if (h, g) not in slow:
+            H, G = gpds[h], gpds[g]
+            assert tables(functor_groupoid(H, G)) == tables(ref.functor_groupoid(H, G)), (h, g)
+
+
+def brute_force_size(H, G):
+    """A bound on the tuples the reference tries: object maps times hom choices."""
+    widest = max((len(G.hom(a, b)) for a in G.objects for b in G.objects), default=0)
+    return len(G.objects) ** len(H.objects) * widest ** len(H.non_identities())
+
+
+@settings(max_examples=40)
+@given(small_groupoids(), small_groupoids())
+def test_functor_groupoid_matches_the_brute_force_reference_on_small_groupoids(H, G):
+    assume(brute_force_size(H, G) <= 2000)
+    assert tables(functor_groupoid(H, G)) == tables(ref.functor_groupoid(H, G))
+
+
+def test_functor_groupoid_bs3_to_bs4():
+    F = functor_groupoid(
+        one_object_groupoid(symmetric_group(3)), one_object_groupoid(symmetric_group(4))
+    )
+    # |Hom(S3, S4)| = 34 functors, each with one transformation per element of S4
+    assert len(F.objects) == 34
+    assert len(F.morphisms) == 34 * 24
+    # up to conjugacy: the trivial map, the sign onto a transposition or onto a
+    # product of two, and the embedding as a point stabiliser
+    assert len(pi0(groupoid_nerve(F, 1))) == 4
+    assert validate_category(F) == []

@@ -1,5 +1,6 @@
 """Core calculus: normal forms, the standard family, validation, map search."""
 
+import gc
 import itertools
 
 import pytest
@@ -15,6 +16,7 @@ from finsimp.simplicial import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    _search_plan,
     codegeneracy_map,
     coface_map,
     compose,
@@ -597,3 +599,14 @@ def test_from_level_data_recovers_the_normal_form(S):
         for g, refs in built.face_table.items()
     }
     assert faces == S.face_table
+
+
+def test_search_plan_leaves_no_cyclic_garbage():
+    A = horn(4, 1)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        _search_plan(A, ())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
