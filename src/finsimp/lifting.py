@@ -4,11 +4,11 @@ Everything here is brute force over the finite simplex sets: a horn
 map is a tuple of compatible facet values, streamed by the top-cell
 map search (simplicial.MapSearch), a filler is a simplex whose faces
 match it, and fibration checks enumerate commuting squares against
-horn or boundary inclusions and search for diagonal lifts.  Fillers of
-horns and spheres are looked up in face_index(K, n, skip), and every
-horn check runs the one scan of horn_scan.  A full SimplicialMap is
-built only for a witness: the failing map that enumerate_maps would
-list first (MapSearch.first).
+horn or boundary inclusions and search for diagonal lifts.  Each such
+check is the one scan of _unfilled.  It files fillers by their facets
+d_k, k ascending, the key order of MapSearch's own tables, so the two
+share them.  A full SimplicialMap is built only for a witness: the
+failing map that enumerate_maps would list first (MapSearch.first).
 
 Checks on a truncated window refuse to look past its bound; on a
 complete set any depth is allowed because everything above the bound
@@ -81,17 +81,26 @@ FibrationResult = CheckResult
 FinalityResult = CheckResult
 
 
-def _facet_key(assign, n, skip):
-    """The values of a map out of a horn or boundary on its facets d_k, k != skip.
+def _facets(n, skip):
+    """The (n, skip) horn, or the n-sphere for skip None, and its facets (k,), k ascending.
 
-    Facets are the generators named by the vertex lists of
-    standard_simplex(n) without k; the tuple is ordered like the keys
-    of face_index(K, n, skip).
+    MapSearch yields a map's facet values in top-cell order: k descending.
     """
-    return tuple(
-        assign["".join(str(v) for v in range(n + 1) if v != k)]
-        for k in range(n + 1)
-        if k != skip
+    shape = simplex_boundary(n)[0] if skip is None else horn(n, skip)[0]
+    return shape, tuple((k,) for k in range(n + 1) if k != skip)
+
+
+def _unfilled(K, n, skip, fails, fixed=None):
+    """(map, payload) of the first map out of _facets(n, skip) into K, agreeing with `fixed`, that fails.
+
+    fails(key, fillers) gets a map's facet values, k ascending, and their
+    fillers in K, and returns None for a map that passes.  None if all do.
+    """
+    shape, positions = _facets(n, skip)
+    fillers = face_index(K, n, positions)
+    search = MapSearch(shape, K, fixed)
+    return search.first(
+        (xs, out) for xs in search if (out := fails(k := xs[::-1], fillers.get(k, ()))) is not None
     )
 
 
@@ -102,7 +111,9 @@ def matching_simplices(K, assign, n, skip=None):
     horn, or out of the n-sphere when `skip` is None; the result keeps
     the order of simplices(K, n).
     """
-    return face_index(K, n, skip).get(_facet_key(assign, n, skip), ())
+    shape, positions = _facets(n, skip)
+    key = tuple(assign[g] for g in reversed(shape.gens[n - 1]))
+    return face_index(K, n, positions).get(key, ())
 
 
 def check_depth(N, what, *sets):
@@ -139,13 +150,10 @@ def horn_scan(K, N, inner, ok):
     Scans all horns, or only the inner ones (0 < i < n) when `inner` is
     set, n ascending, then i ascending.  The witness of a failure is the
     first map in horn_maps order, within the first failing (n, i), whose
-    fillers fail ok(fillers), and `count` its number of fillers.  Horn
-    maps stream as facet values, k descending: face_index keys reversed.
+    fillers fail ok(fillers), and `count` its number of fillers.
     """
     for n, i in _horn_shapes(N, inner):
-        fillers = face_index(K, n, i)
-        search = MapSearch(horn(n, i)[0], K)
-        found = search.first((xs, len(zs)) for xs in search if not ok(zs := fillers.get(xs[::-1], ())))
+        found = _unfilled(K, n, i, lambda _, zs: None if ok(zs) else len(zs))
         if found is not None:
             return CheckResult(False, HornMap(n, i, found[0]), N, found[1])
     return CheckResult(True, None, N)
@@ -215,20 +223,18 @@ def _lifting_check(p, N, shapes):
     """
     X, Y = p.source, p.target
     for n, i in shapes:
-        fillers_x, fillers_y = face_index(X, n, i), face_index(Y, n, i)
+        below = face_index(Y, n, _facets(n, i)[1])
 
-        def unliftable(xs):
-            over = {p.apply(zX) for zX in fillers_x.get(xs, ())}
-            below = fillers_y.get(tuple(p.apply(x) for x in xs), ())
-            return next((zY for zY in below if zY not in over), None)
+        def unliftable(xs, zs):
+            over = {p.apply(zX) for zX in zs}
+            return next((zY for zY in below.get(tuple(map(p.apply, xs)), ()) if zY not in over), None)
 
-        shape, incl = simplex_boundary(n) if i is None else horn(n, i)
-        search = MapSearch(shape, X)
-        found = search.first((xs, zY) for xs in search if (zY := unliftable(xs[::-1])) is not None)
+        found = _unfilled(X, n, i, unliftable)
         if found is not None:
             top, zY = found
             simplex = standard_simplex(n)
             bottom = enumerate_maps(simplex, Y, fixed={simplex.gens[n][0]: zY})[0]
+            incl = (simplex_boundary(n) if i is None else horn(n, i))[1]
             return CheckResult(False, LiftingProblem(incl, p, top, bottom), N)
     return CheckResult(True, None, N)
 

@@ -21,16 +21,13 @@ from .constructions import (
     product_parts,
     right_cone,
 )
-from .lifting import FinalityResult, check_depth
+from .lifting import FinalityResult, _unfilled, check_depth
 from .simplicial import (
-    MapSearch,
     SimplexRef,
     SimplicialMap,
     TruncationError,
-    face_index,
     identity_map,
     maps_of_rows,
-    simplex_boundary,
     standard_simplex,
 )
 
@@ -105,9 +102,8 @@ def _extension_check(C, v, N, pinned_vertex):
     _require_vertex(C, v)
     check_depth(N, "finality check", C)
     for n in range(1, N + 1):
-        fillers = face_index(C, n)
-        spheres = MapSearch(simplex_boundary(n)[0], C, {str(pinned_vertex(n)): C.generator(v)})
-        found = spheres.first((xs, None) for xs in spheres if xs[::-1] not in fillers)
+        pin = {str(pinned_vertex(n)): C.generator(v)}
+        found = _unfilled(C, n, None, lambda _, zs: None if zs else True, pin)
         if found is not None:
             return FinalityResult(False, found[0], N)
     return FinalityResult(True, None, N)

@@ -241,22 +241,19 @@ def simplices(S, n):
     return out
 
 
-def face_index(S, n, skip=None, positions=None):
+def face_index(S, n, positions=None):
     """Lookup table from partial face tuples to the n-simplices having them.
 
     A position is a face word: the strictly decreasing tuple of the
     vertices an iterated face operator deletes, so (k,) is d_k, (3, 1)
     is d_1 d_3 and () the simplex itself.  A simplex z is filed under
-    (d_w z for w in positions), a tuple of face words.  By default
-    the positions are the faces d_k, k in 0..n without `skip`,
-    ascending: with `skip` None the key is the full face tuple, and
-    with skip = i it is the tuple a map out of the (n, i) horn gives on
-    its facets.  A vertex has no faces, so at n = 0 every vertex is
-    filed under () by default.  Each list keeps the order of
-    simplices(S, n).  Memoised per (n, positions) on S.
+    (d_w z for w in positions); by default every d_k, so a vertex is
+    filed under ().  Scans pass facets k ascending, the order MapSearch
+    sorts a cell's ties in, so the two share tables.  Each list keeps
+    the order of simplices(S, n).  Memoised per (n, positions) on S.
     """
     if positions is None:
-        positions = tuple((k,) for k in range(n + 1) if n and k != skip)
+        positions = tuple((k,) for k in range(n + 1) if n)
     memo = S._index_memo
     key = (n, positions)
     hit = memo.get(key)

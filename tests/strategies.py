@@ -4,7 +4,13 @@ import itertools
 
 from hypothesis import strategies as st
 
-from finsimp.categories import as_groupoid, discrete_category, disjoint_union_category
+from finsimp.categories import (
+    as_groupoid,
+    discrete_category,
+    disjoint_union_category,
+    monoid_category,
+    poset_category,
+)
 from finsimp.groups import one_object_groupoid, perm_group
 from finsimp.simplicial import SimplexRef, SimplicialSet, face, simplices, validate
 
@@ -50,3 +56,41 @@ def small_groupoids():
         pieces,
         st.builds(lambda C, D: as_groupoid(disjoint_union_category(C, D)), pieces, pieces),
     )
+
+
+@st.composite
+def small_posets(draw):
+    """(category, leq) of a poset on 1-4 points p0, p1, ...; leq is its order on the names.
+
+    Each pair i < j is drawn related or not, then closed transitively,
+    so every finite poset up to relabelling can come out.
+    """
+    names = [f"p{j}" for j in range(draw(st.integers(1, 4)))]
+    below = {(a, a) for a in names}
+    below |= {(a, b) for a, b in itertools.combinations(names, 2) if draw(st.booleans())}
+    for b, a, c in itertools.product(names, repeat=3):  # b outermost: Warshall's closure
+        if (a, b) in below and (b, c) in below:
+            below.add((a, c))
+
+    def leq(a, b):
+        return (a, b) in below
+
+    return poset_category(names, leq), leq
+
+
+@st.composite
+def _cyclic_monoids(draw):
+    """The one-object category of the monoid generated by one self-map of {0, 1, 2}."""
+    f = tuple(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
+    powers = [(0, 1, 2)]
+    while (nxt := tuple(f[x] for x in powers[-1])) not in powers:
+        powers.append(nxt)
+    name = {g: "m" + "".join(map(str, g)) for g in powers}
+    mul = {(name[g], name[h]): name[tuple(g[x] for x in h)] for g in powers for h in powers}
+    return monoid_category("pt", list(name.values()), name[(0, 1, 2)], mul)
+
+
+def small_categories():
+    """A poset on at most 4 points, a cyclic transformation monoid on {0, 1, 2}, or the union of two."""
+    pieces = st.one_of(small_posets().map(lambda pair: pair[0]), _cyclic_monoids())
+    return st.one_of(pieces, st.builds(disjoint_union_category, pieces, pieces))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from finsimp.categories import chain_category, is_groupoid, nerve, nerve_detect
 from finsimp.dsl import parse_document
-from finsimp.groups import cyclic_group, one_object_groupoid
+from finsimp.groups import cyclic_group, one_object_groupoid, symmetric_group
 from finsimp.lifting import (
     CheckResult,
     HornMap,
@@ -39,7 +39,7 @@ from finsimp.simplicial import (
 )
 from finsimp.limits import is_final, is_initial
 from strategies import small_simplicial_sets
-from witness_check import check_horn_witness, check_sphere_witness, check_square_witness
+from witness_check import check_horn_witness, check_sphere_witness, check_square_witness, scan_fillers
 
 EXTRA = parse_document(
     json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())["documents"]["extra"]
@@ -312,6 +312,41 @@ def test_fibration_checks_report_the_enumerate_maps_witness(corpus):
                 n = res.witness.bottom.source.bound
                 assert res.witness.bottom.assign["".join(map(str, range(n + 1)))] == zY
                 assert res.witness.validate() == []
+
+
+def filler_shapes():
+    """(shape, n, skip) for every horn and every sphere of dimension at most 3."""
+    for n in range(1, 4):
+        for skip in [*range(n + 1), None]:
+            yield (simplex_boundary(n) if skip is None else horn(n, skip))[0], n, skip
+
+
+def assert_fillers_match_the_linear_scan(K):
+    for A, n, skip in filler_shapes():
+        for f in enumerate_maps(A, K):
+            assert list(matching_simplices(K, f.assign, n, skip)) == scan_fillers(K, f.assign, n, skip)
+
+
+def test_matching_simplices_matches_the_linear_scan(corpus):
+    # the witness-order oracles look fillers up with matching_simplices, so it has an
+    # oracle of its own: the linear scan of witness_check, which uses no face index
+    for _, C, _ in corpus:
+        assert_fillers_match_the_linear_scan(nerve(C, 3))
+
+
+@settings(max_examples=40)
+@given(small_simplicial_sets())
+def test_matching_simplices_matches_the_linear_scan_on_generated_sets(K):
+    assert_fillers_match_the_linear_scan(K)
+
+
+def test_kan_scan_files_the_tables_of_the_map_search():
+    # horn fillers are filed by facets k ascending, the tables the map search files one
+    # level up, so the scan and the searches share them; keys k descending file 32 tables
+    N = nerve(one_object_groupoid(symmetric_group(3)), 4)
+    assert is_kan(N, 4)
+    assert len(N._index_memo) == 25
+    assert sum(len(zs) for table in N._index_memo.values() for zs in table.values()) == 8875
 
 
 # --- witnesses re-checked without the map search -------------------------------

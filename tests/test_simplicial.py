@@ -238,7 +238,8 @@ def test_partial_face_index_matches_linear_scan(corpus):
     for S in sets:
         for n in range(1, S.bound + 2):
             for skip in [None, *range(n + 1)]:
-                index = face_index(S, n, skip)
+                positions = tuple((k,) for k in range(n + 1) if k != skip)
+                index = face_index(S, n, positions=positions)
                 keys = {
                     tuple(face(S, k, z) for k in range(n + 1) if k != skip)
                     for z in simplices(S, n)
@@ -246,7 +247,7 @@ def test_partial_face_index_matches_linear_scan(corpus):
                 assert set(index) == keys
                 for key in keys:
                     assert index[key] == scan_for_faces(S, n, skip, key)
-                assert face_index(S, n, skip) is index
+                assert face_index(S, n, positions=positions) is index
 
 
 def test_face_index_by_iterated_faces_matches_linear_scan(corpus):
