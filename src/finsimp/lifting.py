@@ -5,10 +5,11 @@ map is a tuple of compatible facet values, streamed by the top-cell
 map search (simplicial.MapSearch), a filler is a simplex whose faces
 match it, and fibration checks enumerate commuting squares against
 horn or boundary inclusions and search for diagonal lifts.  Each such
-check is the one scan of _unfilled.  It files fillers by their facets
-d_k, k ascending, the key order of MapSearch's own tables, so the two
-share them.  A full SimplicialMap is built only for a witness: the
-failing map that enumerate_maps would list first (MapSearch.first).
+check is the one scan of _unfilled.  It files fillers by the ids of
+their facets d_k, k ascending, the key order of MapSearch's own
+tables, so the two share them; its search plans are built once per
+shape (_scan_plan).  A full SimplicialMap is built only for a witness:
+the failing map that enumerate_maps would list first (MapSearch.first).
 
 Checks on a truncated window refuse to look past its bound; on a
 complete set any depth is allowed because everything above the bound
@@ -17,17 +18,22 @@ is degenerate.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .simplicial import (
     MapSearch,
     SimplicialMap,
     TruncationError,
+    _search_plan,
     compose,
     enumerate_maps,
+    face_id_index,
     face_index,
     horn,
+    numbered_level,
     simplex_boundary,
+    simplices,
     standard_simplex,
     word_apply,
 )
@@ -90,17 +96,32 @@ def _facets(n, skip):
     return shape, tuple((k,) for k in range(n + 1) if k != skip)
 
 
+@lru_cache(maxsize=None)
+def _scan_plan(n, skip, pinned):
+    """The search plan of _facets(n, skip)'s shape with the `pinned` generators, built once.
+
+    Every search of that shape shares it, so it is only read.
+    """
+    return _search_plan(_facets(n, skip)[0], pinned)
+
+
 def _unfilled(K, n, skip, fails, fixed=None):
     """(map, payload) of the first map out of _facets(n, skip) into K, agreeing with `fixed`, that fails.
 
-    fails(key, fillers) gets a map's facet values, k ascending, and their
-    fillers in K, and returns None for a map that passes.  None if all do.
+    fails(key, fillers) gets the ids of a map's facet values, k
+    ascending, and of their fillers in K (face_id_index), and returns
+    None for a map that passes.  None if all do.
     """
     shape, positions = _facets(n, skip)
-    fillers = face_index(K, n, positions)
-    search = MapSearch(shape, K, fixed)
+    fillers = face_id_index(K, n, positions)
+    search = MapSearch(shape, K, fixed, _plans=partial(_scan_plan, n, skip))
+    ids = None if search.by_id else numbered_level(K, n - 1).ids()
+
+    def key(xs):
+        return xs[::-1] if ids is None else tuple([ids[x] for x in reversed(xs)])
+
     return search.first(
-        (xs, out) for xs in search if (out := fails(k := xs[::-1], fillers.get(k, ()))) is not None
+        (xs, out) for xs in search if (out := fails(k := key(xs), fillers.get(k, ()))) is not None
     )
 
 
@@ -150,7 +171,8 @@ def horn_scan(K, N, inner, ok):
     Scans all horns, or only the inner ones (0 < i < n) when `inner` is
     set, n ascending, then i ascending.  The witness of a failure is the
     first map in horn_maps order, within the first failing (n, i), whose
-    fillers fail ok(fillers), and `count` its number of fillers.
+    fillers fail ok(fillers), and `count` its number of fillers; `ok`
+    gets the fillers' ids (face_id_index).
     """
     for n, i in _horn_shapes(N, inner):
         found = _unfilled(K, n, i, lambda _, zs: None if ok(zs) else len(zs))
@@ -223,20 +245,27 @@ def _lifting_check(p, N, shapes):
     """
     X, Y = p.source, p.target
     for n, i in shapes:
-        below = face_index(Y, n, _facets(n, i)[1])
+        below = face_id_index(Y, n, _facets(n, i)[1])
+        p_facets, p_simplices = _on_ids(p, n - 1), _on_ids(p, n)
 
-        def unliftable(xs, zs):
-            over = {p.apply(zX) for zX in zs}
-            return next((zY for zY in below.get(tuple(map(p.apply, xs)), ()) if zY not in over), None)
+        def unliftable(key, zs):
+            over = {p_simplices[z] for z in zs}
+            return next((zY for zY in below.get(tuple([p_facets[x] for x in key]), ()) if zY not in over), None)
 
         found = _unfilled(X, n, i, unliftable)
         if found is not None:
             top, zY = found
             simplex = standard_simplex(n)
-            bottom = enumerate_maps(simplex, Y, fixed={simplex.gens[n][0]: zY})[0]
+            bottom = enumerate_maps(simplex, Y, fixed={simplex.gens[n][0]: simplices(Y, n)[zY]})[0]
             incl = (simplex_boundary(n) if i is None else horn(n, i))[1]
             return CheckResult(False, LiftingProblem(incl, p, top, bottom), N)
     return CheckResult(True, None, N)
+
+
+def _on_ids(p, n):
+    """The map p on level n, from ids of its source to ids of its target."""
+    ids = numbered_level(p.target, n).ids()
+    return [ids[p.apply(z)] for z in simplices(p.source, n)]
 
 
 def is_kan_fibration(p, N):

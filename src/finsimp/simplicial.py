@@ -14,6 +14,14 @@ dimension `bound` still has simplices in every dimension above the
 bound (all degenerate), which is what the face/degeneracy calculus and
 the map enumerator work with.
 
+Scans that read a whole level run on numbers instead (numbered_level):
+the n-simplices are numbered in simplices(S, n) order and every face
+and degeneracy operator becomes an array of ids, so the face tables
+(face_id_index) and the map search without pins (MapSearch.by_id)
+index lists instead of rewriting words.  Simplices are made only at
+the boundary: rows handed back, witnesses, and face_index, the view of
+a table in simplices.
+
 The `truncated` flag marks sets that are honest windows onto a larger
 object (e.g. a nerve cut below its longest chain).  Constructions that
 quantify over all simplices up to a dimension refuse to look past the
@@ -24,7 +32,8 @@ everything above the bound is degenerate.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import getitem
 from typing import NamedTuple
 
 MAX_DIM = 9
@@ -124,7 +133,9 @@ class SimplicialSet:
         self._hash = None
         self._face_memo = {}
         self._simplices_memo = {}
+        self._level_memo = {}
         self._index_memo = {}
+        self._ref_index_memo = {}
         self._gen_index_memo = {}
 
     def ref(self, word, gen):
@@ -241,6 +252,109 @@ def simplices(S, n):
     return out
 
 
+class NumberedLevel:
+    """Level n of a simplicial set with its simplices numbered, for full-table scans.
+
+    The id of an n-simplex is its position in simplices(S, n).  The
+    simplices with one degeneracy word w form one block of ids, the
+    generators of dimension n - len(w) by name, and `blocks` maps each
+    word to its range of ids, blocks in word order.  faces[k] holds the
+    id of d_k z one level down for every id z, and degens[j] the id of
+    s_j y for every id y one level down.  `refs` is simplices(S, n);
+    nothing here refers to S.
+    """
+
+    __slots__ = ("refs", "blocks", "faces", "degens", "_ids")
+
+    def __init__(self, refs, blocks, faces, degens):
+        self.refs, self.blocks, self.faces, self.degens = refs, blocks, faces, degens
+        self._ids = None
+
+    def ids(self):
+        """The id of every simplex of the level, built on first use."""
+        if self._ids is None:
+            self._ids = dict(zip(self.refs, range(len(self.refs))))
+        return self._ids
+
+
+def numbered_level(S, n):
+    """Level n of S numbered (NumberedLevel), with the levels below it; memoised on S.
+
+    s_j maps the block of word w onto the block of word s_j w, keeping
+    positions.  d_k of a generator is read off the face table; of s_j y
+    it is y for k in {j, j+1}, else s_(j-1) d_k y (k < j) or
+    s_j d_(k-1) y (k > j+1), read from the arrays one and two levels
+    down (Gabriel-Zisman).  No face of a single simplex is computed.
+    """
+    memo = S._level_memo
+    hit = memo.get(n)
+    if hit is not None:
+        return hit
+    blocks, at = {}, 0
+    words = (w for m in range(min(n, S.bound) + 1) if S.gens[m]
+             for w in itertools.combinations(range(n - 1, -1, -1), n - m))
+    for word in sorted(words):
+        blocks[word] = range(at, at + len(S.gens[n - len(word)]))
+        at = blocks[word].stop
+    faces, degens = [], []
+    if n:
+        low = numbered_level(S, n - 1)
+        for j in range(n):
+            degens.append(list(itertools.chain.from_iterable(
+                blocks[insert_degeneracy(w, j)] for w in low.blocks)))
+        gen_faces = [S.face_table[g] for g in sorted(S.gens[n])] if () in blocks else ()
+        for k in range(n + 1):
+            col = []
+            for word in blocks:
+                if not word:
+                    col += map(low.ids().__getitem__, [f[k] for f in gen_faces])
+                    continue
+                j, inner = word[0], low.blocks[word[1:]]
+                if k == j or k == j + 1:
+                    col += inner
+                else:
+                    s, d = (low.degens[j - 1], low.faces[k]) if k < j else (low.degens[j], low.faces[k - 1])
+                    col += map(s.__getitem__, d[inner.start:inner.stop])
+            faces.append(col)
+    out = memo[n] = NumberedLevel(simplices(S, n), blocks, faces, degens)
+    return out
+
+
+def _column(S, n, word, degens=()):
+    """The id of s_degens d_word z for every id z of level n: face and degeneracy arrays composed."""
+    col = range(len(simplices(S, n)))
+    for k in word:
+        a = numbered_level(S, n).faces[k]
+        col = a if type(col) is range else list(map(a.__getitem__, col))
+        n -= 1
+    for k in reversed(degens):
+        n += 1
+        a = numbered_level(S, n).degens[k]
+        col = a if type(col) is range else list(map(a.__getitem__, col))
+    return col
+
+
+def face_id_index(S, n, positions):
+    """The ids of the n-simplices by their faces' ids at the face words `positions`.
+
+    The one face-table builder: a dict from int tuples (the id of d_w z
+    for each position w, see face_index) to the ids z in ascending
+    order, memoised per (n, positions) on S.  A deeper position reads a
+    composed column of face arrays of numbered_level.
+    """
+    memo = S._index_memo
+    key = (n, positions)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    cols = [_column(S, n, w) for w in positions]
+    table = {}
+    for z, part in enumerate(zip(*cols) if cols else itertools.repeat((), len(simplices(S, n)))):
+        table.setdefault(part, []).append(z)
+    memo[key] = table
+    return table
+
+
 def face_index(S, n, positions=None):
     """Lookup table from partial face tuples to the n-simplices having them.
 
@@ -248,22 +362,23 @@ def face_index(S, n, positions=None):
     vertices an iterated face operator deletes, so (k,) is d_k, (3, 1)
     is d_1 d_3 and () the simplex itself.  A simplex z is filed under
     (d_w z for w in positions); by default every d_k, so a vertex is
-    filed under ().  Scans pass facets k ascending, the order MapSearch
-    sorts a cell's ties in, so the two share tables.  Each list keeps
-    the order of simplices(S, n).  Memoised per (n, positions) on S.
+    filed under ().  Each list keeps the order of simplices(S, n).  This
+    is the view of face_id_index's table in simplices, with the same
+    keys, lists and order; memoised per (n, positions) on S.
     """
     if positions is None:
         positions = tuple((k,) for k in range(n + 1) if n)
-    memo = S._index_memo
+    memo = S._ref_index_memo
     key = (n, positions)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    table = {}
-    for z in simplices(S, n):
-        table.setdefault(tuple([_face_word(S, w, z) for w in positions]), []).append(z)
-    memo[key] = table
-    return table
+    if hit is None:
+        refs = simplices(S, n)
+        parts = [simplices(S, n - len(w)) for w in positions]
+        hit = memo[key] = {
+            tuple(map(getitem, parts, part)): list(map(refs.__getitem__, zs))
+            for part, zs in face_id_index(S, n, positions).items()
+        }
+    return hit
 
 
 def face_lookup(S, n, positions, key):
@@ -794,16 +909,26 @@ class MapSearch:
     cells in declaration order (for a horn or a sphere: its facets,
     vertex lists descending).  The search runs depth first over the
     cells in _search_plan order.  A cell's value is looked up by its
-    faces that the pins and earlier cells fix: in face_index(B, n,
-    positions) when no face is a pin's, else among the face_lookup
-    matches of its pinned faces, filed once per search by the rest.
-    The faces it shares with itself are checked after, and
-    so is `constrain` on the generators read off it.  The pins are
-    first extended to the faces of pinned generators: when they
-    disagree, or one fails `constrain`, there are no maps.
+    faces that the pins and earlier cells fix: in the full face table
+    of B's n-simplices at those positions when no face is a pin's, else
+    among the face_lookup matches of its pinned faces, filed once per
+    search by the rest.  The faces it shares with itself are checked
+    after, and so is `constrain` on the generators read off it.  The
+    pins are first extended to the faces of pinned generators: when
+    they disagree, or one fails `constrain`, there are no maps.
+
+    With no pins and no `constrain` (`by_id`: every horn and sphere
+    scan, horn_maps) every cell reads a full table, so the search runs
+    on the ids of numbered_level: values are ints, ties and checks read
+    faces from id arrays, and the tables are face_id_index's.  Otherwise
+    it runs on simplices and reads face_index.  `row` gives a map's
+    value row in the search's own terms and `as_refs` turns it into
+    simplices; rows sort like map_key either way.  `_plans`, internal,
+    gives the search plan for the frozenset of pinned names, for scans
+    that build one plan per shape (default: _search_plan of A).
     """
 
-    def __init__(self, A, B, fixed=None, constrain=None):
+    def __init__(self, A, B, fixed=None, constrain=None, *, _plans=None):
         fixed = dict(fixed or {})
         for g, r in fixed.items():
             if g not in A.gen_dim:
@@ -816,20 +941,48 @@ class MapSearch:
         if pins is not None and constrain is not None and not all(constrain(g, r) for g, r in pins.items()):
             pins = None
         self.live = pins is not None
-        names, self.steps, self.slots, self.program, self.out = _search_plan(A, pins or ())
+        plan = (_plans or partial(_search_plan, A))(frozenset(pins or ()))
+        names, self.steps, self.slots, self.program, self.out = plan
         self.pins = [pins[g] for g in names] if self.live else []
+        self.by_id = not self.pins and constrain is None
+        if self.by_id and self.live:
+            # the program's (register, face) steps become (register, id array) steps
+            dims = [self.steps[s][0] for s in self.slots]
+            self._program = []
+            for r, k in self.program:
+                self._program.append((r, numbered_level(B, dims[r]).faces[k]))
+                dims.append(dims[r] - 1)
+            self._levels = [simplices(B, A.gen_dim[g]) for g in self.flat]
 
-    def __iter__(self):
-        if not self.live:
-            return
-        B, steps, slots, constrain = self.target, self.steps, self.slots, self.constrain
-        xs = list(self.pins)
-        base = len(xs)
+    def _id_readers(self, xs):
+        """Per step its face_id_index table, ties as (slot, _column) and checks; the key and check readers."""
+        B, steps = self.target, self.steps
+        lookups = [
+            (
+                face_id_index(B, n, positions),
+                [(s, _column(B, steps[s][0], w, word)) for s, w, word in ties],
+                [(_column(B, n, w), _column(B, n, w0, word)) for w, w0, word in checks],
+                (),
+            )
+            for n, positions, ties, checks, _ in steps
+        ]
 
-        def fits(x, checks, new):
-            return all(
-                _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
-            ) and (constrain is None or all(constrain(g, _face_word(B, w, x)) for g, w in new))
+        def key(ties):
+            return tuple([col[xs[s]] for s, col in ties])
+
+        def fits(x, checks, _):
+            return all(left[x] == right[x] for left, right in checks)
+
+        return key, fits, lookups
+
+    def _ref_readers(self, xs):
+        """Per step its table, ties, checks and constrained generators; the key and check readers.
+
+        Ties to pins have one key per search, so those candidates are
+        looked up once and filed by the rest; a step without them uses
+        face_index.
+        """
+        B, constrain, base = self.target, self.constrain, len(xs)
 
         def key(ties):
             out = []
@@ -840,64 +993,82 @@ class MapSearch:
                 out.append(word_apply(word, z) if word else z)
             return tuple(out)
 
-        # per step, a table from the key of the ties to earlier cells to the candidates:
-        # ties to pins have one key per search, so those candidates are looked up once and
-        # filed by the rest; a step without them uses the full face index
-        indexes = []
-        for n, positions, ties, *_ in steps:
+        def fits(x, checks, new):
+            return all(
+                _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
+            ) and all(constrain(g, _face_word(B, w, x)) for g, w in new)
+
+        lookups = []
+        for n, positions, ties, checks, new in self.steps:
+            new = new if constrain is not None else ()
             pinned = [t for t, tie in enumerate(ties) if tie[0] < base]
             if not pinned:
-                indexes.append((face_index(B, n, positions=positions), ties))
+                lookups.append((face_index(B, n, positions=positions), ties, checks, new))
                 continue
             pool = face_lookup(B, n, tuple(positions[t] for t in pinned), key([ties[t] for t in pinned]))
             rest = [t for t, tie in enumerate(ties) if tie[0] >= base]
             table = {}
             for x in pool:
                 table.setdefault(tuple([_face_word(B, positions[t], x) for t in rest]), []).append(x)
-            indexes.append((table, [ties[t] for t in rest]))
+            lookups.append((table, [ties[t] for t in rest], checks, new))
+        return key, fits, lookups
 
-        def candidates():
-            j = len(xs) - base
-            _, _, _, checks, new = steps[j]
-            table, ties = indexes[j]
-            pool = table.get(key(ties), ())
-            if checks or (constrain is not None and new):
-                pool = [x for x in pool if fits(x, checks, new)]
-            return iter(pool)
-
+    def __iter__(self):
+        if not self.live:
+            return
+        steps, slots = self.steps, self.slots
         if not steps:
             yield ()
             return
-        stack = [candidates()]
-        while stack:
-            x = next(stack[-1], None)
-            del xs[base + len(stack) - 1:]
-            if x is None:
-                stack.pop()
-                continue
-            xs.append(x)
-            if len(stack) == len(steps):
-                yield tuple(xs[s] for s in slots)
-            else:
-                stack.append(candidates())
+        xs = list(self.pins)
+        base = len(xs)
+        key, fits, lookups = (self._id_readers if self.by_id else self._ref_readers)(xs)
 
-    def values(self, tops):
+        def candidates():
+            table, ties, checks, new = lookups[len(xs) - base]
+            pool = table.get(key(ties), ())
+            if checks or new:
+                pool = [x for x in pool if fits(x, checks, new)]
+            return iter(pool)
+
+        stack = [candidates()]  # stack[j]: the untried candidates of step j; a for loop resumes them
+        while stack:
+            for x in stack[-1]:
+                del xs[base + len(stack) - 1:]
+                xs.append(x)
+                if len(stack) < len(steps):
+                    stack.append(candidates())
+                    break
+                yield tuple([xs[s] for s in slots])
+            else:
+                stack.pop()
+
+    def row(self, tops):
         """The values on A's generators, in declaration order, of the map with top-cell values `tops`.
 
-        Value tuples sort like map_key: refs compare by word, then
-        generator, and dimensions agree position by position.
+        Ids when by_id, else simplices.  Rows sort like map_key: position
+        p holds values of one dimension, and ids follow simplices(B, n),
+        which is sorted by ref_key.
         """
         regs = [*self.pins, *tops]
-        for src, k in self.program:
-            regs.append(face(self.target, k, regs[src]))
-        return tuple(regs[r] for r in self.out)
+        if self.by_id:
+            for src, a in self._program:
+                regs.append(a[regs[src]])
+        else:
+            for src, k in self.program:
+                regs.append(face(self.target, k, regs[src]))
+        return tuple([regs[r] for r in self.out])
+
+    def as_refs(self, row):
+        """A row of this search as simplices."""
+        return tuple(map(getitem, self._levels, row)) if self.by_id else row
 
     def first(self, found):
         """The (map, payload) of (tops, payload) pairs whose map enumerate_maps lists first; None if none."""
-        best = min(found, key=lambda pair: self.values(pair[0]), default=None)
+        best = min(found, key=lambda pair: self.row(pair[0]), default=None)
         if best is None:
             return None
-        return SimplicialMap(self.source, self.target, zip(self.flat, self.values(best[0]))), best[1]
+        return SimplicialMap(self.source, self.target, zip(self.flat, self.as_refs(self.row(best[0])))), best[1]
 
 
 def map_rows(A, B, fixed=None, limit=None, constrain=None):
@@ -906,7 +1077,7 @@ def map_rows(A, B, fixed=None, limit=None, constrain=None):
     Rows sort like map_key, so the list is enumerate_maps' order.
     """
     search = MapSearch(A, B, fixed, constrain)
-    return sorted(search.values(tops) for tops in search)[:limit]
+    return [search.as_refs(row) for row in sorted(map(search.row, search))[:limit]]
 
 
 def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):

@@ -59,13 +59,13 @@ def small_groupoids():
 
 
 @st.composite
-def small_posets(draw):
-    """(category, leq) of a poset on 1-4 points p0, p1, ...; leq is its order on the names.
+def small_posets(draw, max_points=4):
+    """(category, leq) of a poset on 1 to max_points points p0, p1, ...; leq is its order on the names.
 
     Each pair i < j is drawn related or not, then closed transitively,
     so every finite poset up to relabelling can come out.
     """
-    names = [f"p{j}" for j in range(draw(st.integers(1, 4)))]
+    names = [f"p{j}" for j in range(draw(st.integers(1, max_points)))]
     below = {(a, a) for a in names}
     below |= {(a, b) for a, b in itertools.combinations(names, 2) if draw(st.booleans())}
     for b, a, c in itertools.product(names, repeat=3):  # b outermost: Warshall's closure
@@ -91,6 +91,9 @@ def _cyclic_monoids(draw):
 
 
 def small_categories():
-    """A poset on at most 4 points, a cyclic transformation monoid on {0, 1, 2}, or the union of two."""
-    pieces = st.one_of(small_posets().map(lambda pair: pair[0]), _cyclic_monoids())
+    """A poset on at most 5 points, a cyclic transformation monoid on {0, 1, 2}, or the union of two.
+
+    A chain of 5 points has non-degenerate 4-simplices, so scans at depth 4 have work to do.
+    """
+    pieces = st.one_of(small_posets(5).map(lambda pair: pair[0]), _cyclic_monoids())
     return st.one_of(pieces, st.builds(disjoint_union_category, pieces, pieces))

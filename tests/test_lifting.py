@@ -1,7 +1,9 @@
 """Horn filling, Kan/quasi-category checks, lifting problems, fibrations."""
 
+import gc
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -342,11 +344,31 @@ def test_matching_simplices_matches_the_linear_scan_on_generated_sets(K):
 
 def test_kan_scan_files_the_tables_of_the_map_search():
     # horn fillers are filed by facets k ascending, the tables the map search files one
-    # level up, so the scan and the searches share them; keys k descending file 32 tables
+    # level up, so the scan and the searches share them; keys k descending file 32 tables.
+    # Both run on ids, so the tables hold ints and no table of simplices is built
     N = nerve(one_object_groupoid(symmetric_group(3)), 4)
     assert is_kan(N, 4)
     assert len(N._index_memo) == 25
     assert sum(len(zs) for table in N._index_memo.values() for zs in table.values()) == 8875
+    assert all(
+        type(x) is int for table in N._index_memo.values() for key, zs in table.items() for x in (*key, *zs)
+    )
+    assert not N._ref_index_memo
+
+
+def test_scans_and_searches_leave_no_cyclic_garbage_on_the_set():
+    # the memos on a set hold ints and simplices, never the set: it dies with its last name
+    gc.collect()
+    gc.disable()
+    try:
+        N = nerve(one_object_groupoid(symmetric_group(3)), 3)
+        assert is_kan(N, 3)
+        assert len(enumerate_maps(horn(3, 1)[0], N)) == 216
+        alive = weakref.ref(N)
+        del N
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # --- witnesses re-checked without the map search -------------------------------

@@ -25,12 +25,14 @@ from finsimp.simplicial import (
     enumerate_maps,
     face,
     face_index,
+    face_id_index,
     face_lookup,
     find_isomorphism,
     from_level_data,
     horn,
     identity_map,
     insert_degeneracy,
+    numbered_level,
     rename_generators,
     simplex_boundary,
     simplex_map_from_vertices,
@@ -299,6 +301,54 @@ def test_face_lookup_matches_the_face_index(S, data):
     mixed = data.draw(st.lists(st.tuples(*parts), max_size=6))
     for key in [*table, *mixed]:
         assert face_lookup(S, n, positions, key) == table.get(key, [])
+
+
+def assert_numbered_levels_match_the_calculus(S, top):
+    for n in range(top + 1):
+        level = numbered_level(S, n)
+        assert level.refs is simplices(S, n)
+        assert level.ids() == {z: i for i, z in enumerate(simplices(S, n))}
+        below = simplices(S, n - 1)
+        for k, col in enumerate(level.faces):
+            assert [below[i] for i in col] == [face(S, k, z) for z in simplices(S, n)]
+        for j, col in enumerate(level.degens):
+            assert [level.refs[i] for i in col] == [word_apply((j,), y) for y in below]
+
+
+def test_numbered_levels_match_the_face_and_degeneracy_calculus(corpus):
+    # ids follow simplices(S, n); every d_k and s_j array entry is face or word_apply on refs
+    for _, C, _ in corpus:
+        assert_numbered_levels_match_the_calculus(nerve(C, 3), 4)
+    for n in range(1, 5):
+        for skip in [None, *range(n + 1)]:
+            assert_numbered_levels_match_the_calculus((simplex_boundary(n) if skip is None else horn(n, skip))[0], n + 1)
+    assert_numbered_levels_match_the_calculus(EMPTY, 2)
+
+
+@given(small_simplicial_sets())
+def test_numbered_levels_match_the_calculus_on_generated_sets(S):
+    assert_numbered_levels_match_the_calculus(S, 4)
+
+
+def test_face_index_is_the_view_of_the_id_table(corpus):
+    for S in [nerve(C, 3) for _, C, _ in corpus[:4]] + [horn(3, 1)[0]]:
+        for positions in [((0,), (2,)), ((3, 1),), ((),), ((2, 1, 0), (3,))]:
+            ids = face_id_index(S, 3, positions)
+            view = face_index(S, 3, positions=positions)
+            assert list(view) == [tuple(simplices(S, 3 - len(w))[x] for w, x in zip(positions, key)) for key in ids]
+            assert list(view.values()) == [[simplices(S, 3)[z] for z in zs] for zs in ids.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_simplicial_sets(), small_simplicial_sets())
+def test_id_rows_sort_like_their_ref_rows(A, B):
+    search = MapSearch(A, B)
+    assert search.by_id
+    rows = [search.row(tops) for tops in search]
+    assert all(isinstance(x, int) for row in rows for x in row)
+    refs = [search.as_refs(row) for row in rows]
+    assert sorted(range(len(rows)), key=rows.__getitem__) == sorted(range(len(refs)), key=refs.__getitem__)
+    assert sorted(refs) == [tuple(f.assign[g] for g in search.flat) for f in reference_maps(A, B)]
 
 
 def test_validate_accepts_standard_family():

@@ -1,7 +1,7 @@
 """Theorems about nerves of categories, checked on generated categories.
 
 The categories come from the `small_categories` strategy: posets on at
-most 4 points, monoids generated by one self-map of {0, 1, 2}, and
+most 5 points, monoids generated by one self-map of {0, 1, 2}, and
 disjoint unions of two of these.  Each property is a theorem about the
 nerve N(C), so it must hold on every draw:
 - N(C) is Kan exactly when C is a groupoid (Joyal, *Quasi-categories
@@ -48,6 +48,18 @@ def test_final_vertices_are_terminal_objects(C):
     for v in C.objects:
         assert is_final(N, v, 3).holds == all(len(C.hom(x, v)) == 1 for x in C.objects)
         assert is_initial(N, v, 3).holds == all(len(C.hom(v, x)) == 1 for x in C.objects)
+
+
+@settings(max_examples=30)
+@given(small_categories())
+def test_the_scans_agree_with_the_theorems_at_depth_four(C):
+    # a chain of 5 poset points has non-degenerate 4-simplices, so the depth-4 scans have work
+    N = nerve(C, 4)
+    assert is_kan(N, 4).holds == is_groupoid(C).holds
+    assert has_unique_inner_fillers(N, 4)
+    for v in C.objects:
+        assert is_final(N, v, 4).holds == all(len(C.hom(x, v)) == 1 for x in C.objects)
+        assert is_initial(N, v, 4).holds == all(len(C.hom(v, x)) == 1 for x in C.objects)
 
 
 @settings(max_examples=30)
