@@ -325,6 +325,7 @@ def test_numbered_levels_match_the_face_and_degeneracy_calculus(corpus):
     assert_numbered_levels_match_the_calculus(EMPTY, 2)
 
 
+@settings(max_examples=40)
 @given(small_simplicial_sets())
 def test_numbered_levels_match_the_calculus_on_generated_sets(S):
     assert_numbered_levels_match_the_calculus(S, 4)
@@ -339,7 +340,7 @@ def test_face_index_is_the_view_of_the_id_table(corpus):
             assert list(view.values()) == [[simplices(S, 3)[z] for z in zs] for zs in ids.values()]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(small_simplicial_sets(), small_simplicial_sets())
 def test_id_rows_sort_like_their_ref_rows(A, B):
     search = MapSearch(A, B)
