@@ -38,6 +38,7 @@ from .simplicial import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    TruncationError,
     codegeneracy_map,
     coface_map,
     face,
@@ -45,6 +46,7 @@ from .simplicial import (
     identity_map,
     map_rows,
     maps_of_rows,
+    numbered_level,
     simplices,
     standard_simplex,
     word_apply,
@@ -239,35 +241,29 @@ def product_parts(S, T):
         )
     pairs = {}
     names = {}
+    placeholder = ProductParts(None, pairs, names)
     gens_by_dim = []
+    faces = {}
     for n in range(bound + 1):
         level = []
-        by_word = {}  # contiguous runs, simplices being sorted by word
-        for r2 in simplices(T, n):
-            by_word.setdefault(r2.word, []).append(r2)
-        partners = {}
-        for r1 in simplices(S, n):
-            if r1.word not in partners:
-                partners[r1.word] = [
-                    r2 for word, run in by_word.items() if set(r1.word).isdisjoint(word) for r2 in run
-                ]
-            for r2 in partners[r1.word]:
-                name = f"({_ref_label(r1)})x({_ref_label(r2)})"
-                pairs[name] = (r1, r2)
-                names[(r1, r2)] = name
-                level.append(name)
+        L1, L2 = numbered_level(S, n), numbered_level(T, n)
+        low1, low2 = simplices(S, n - 1), simplices(T, n - 1)
+        for word, run in L1.blocks.items():
+            partners = [z2 for w2, run2 in L2.blocks.items() if set(word).isdisjoint(w2) for z2 in run2]
+            for z1 in run:
+                r1 = L1.refs[z1]
+                for z2 in partners:
+                    r2 = L2.refs[z2]
+                    name = f"({_ref_label(r1)})x({_ref_label(r2)})"
+                    pairs[name] = (r1, r2)
+                    names[(r1, r2)] = name
+                    level.append(name)
+                    if n:  # the faces are pairs one level down, named already
+                        faces[name] = tuple(
+                            _product_ref(placeholder, low1[f1[z1]], low2[f2[z2]])
+                            for f1, f2 in zip(L1.faces, L2.faces)
+                        )
         gens_by_dim.append(level)
-
-    placeholder = ProductParts(None, pairs, names)
-    faces = {}
-    for name, (r1, r2) in pairs.items():
-        n = r1.dim
-        if n == 0:
-            continue
-        faces[name] = tuple(
-            _product_ref(placeholder, face(S, k, r1), face(T, k, r2))
-            for k in range(n + 1)
-        )
     sset = SimplicialSet(gens_by_dim, faces, truncated=S.truncated or T.truncated)
     return ProductParts(sset, pairs, names)
 
@@ -348,12 +344,13 @@ def _cone_rows(p, depth, under):
     """The slice of p, or the coslice when `under`, with its level rows.
 
     Level n holds the maps (simplex * K) -> S, or (K * simplex) -> S,
-    restricting to p on K, as value rows over shape(n), the join.
-    Returns (sset, shape, levels).
+    restricting to p on K, as value rows over shape(n), the join.  A
+    truncated S must hold every generator of shape(depth) within its
+    bound.  Returns (sset, shape, levels).
     """
     K, S = p.source, p.target
+    what = "coslice" if under else "slice"
     if depth < 0 or depth > MAX_DIM:
-        what = "coslice" if under else "slice"
         raise DimensionError(f"{what} depth {depth} outside 0..{MAX_DIM}")
     id_K = identity_map(K)
 
@@ -367,6 +364,8 @@ def _cone_rows(p, depth, under):
         parts = join_parts(*joined(standard_simplex(n), K))
         return {name: p.assign[y] for y, name in (parts.left if under else parts.right).items()}
 
+    if S.truncated and any(shape(depth).gens[S.bound + 1:]):
+        raise TruncationError(f"{what} to depth {depth} needs simplices past the window bound {S.bound}")
     induced = lambda theta: join_of_maps(*joined(theta, id_K))
     sset, levels = _family_maps(S, depth, shape, induced, pin)
     return sset, shape, levels

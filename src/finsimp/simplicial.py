@@ -14,13 +14,16 @@ dimension `bound` still has simplices in every dimension above the
 bound (all degenerate), which is what the face/degeneracy calculus and
 the map enumerator work with.
 
-Scans that read a whole level run on numbers instead (numbered_level):
-the n-simplices are numbered in simplices(S, n) order and every face
-and degeneracy operator becomes an array of ids, so the face tables
-(face_id_index) and the map search without pins (MapSearch.by_id)
-index lists instead of rewriting words.  Simplices are made only at
-the boundary: rows handed back, witnesses, and face_index, the view of
-a table in simplices.
+Each level has one representation, numbered_level: its n-simplices
+listed block by block, one block per degeneracy word in word order
+with the generators by name (ref_key order; simplices(S, n) is that
+list), and every face and degeneracy operator as an array of ids.
+Scans that read a whole level run on these numbers, so the face
+tables (face_id_index) and the map search without pins
+(MapSearch.by_id) index lists instead of rewriting words; face
+rewrites single simplices and keeps no memo.  Simplices are made only
+at the boundary: rows handed back, witnesses, and face_index, the
+view of a table in simplices.
 
 The `truncated` flag marks sets that are honest windows onto a larger
 object (e.g. a nerve cut below its longest chain).  Constructions that
@@ -131,8 +134,6 @@ class SimplicialSet:
                 self.gen_dim[g] = n
         self._key = None
         self._hash = None
-        self._face_memo = {}
-        self._simplices_memo = {}
         self._level_memo = {}
         self._index_memo = {}
         self._ref_index_memo = {}
@@ -179,28 +180,20 @@ def face(S, k, ref):
 
     Degenerate case by the identities d_k s_j = id (k in {j, j+1}),
     d_k s_j = s_{j-1} d_k (k < j), d_k s_j = s_j d_{k-1} (k > j+1);
-    non-degenerate case by the face table.
+    non-degenerate case by the face table.  Nothing is memoised: scans
+    that read the faces of a whole level use numbered_level's arrays.
     """
     if ref.dim < 1 or not 0 <= k <= ref.dim:
         raise DimensionError(f"face index {k} out of range for dimension {ref.dim}")
-    memo = S._face_memo
-    key = (k, ref)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if ref.word:
-        j = ref.word[0]
-        inner = SimplexRef(ref.word[1:], ref.gen, ref.dim - 1)
-        if k == j or k == j + 1:
-            out = inner
-        elif k < j:
-            out = degeneracy(S, j - 1, face(S, k, inner))
-        else:
-            out = degeneracy(S, j, face(S, k - 1, inner))
-    else:
-        out = S.face_table[ref.gen][k]
-    memo[key] = out
-    return out
+    if not ref.word:
+        return S.face_table[ref.gen][k]
+    j = ref.word[0]
+    inner = SimplexRef(ref.word[1:], ref.gen, ref.dim - 1)
+    if k == j or k == j + 1:
+        return inner
+    if k < j:
+        return degeneracy(S, j - 1, face(S, k, inner))
+    return degeneracy(S, j, face(S, k - 1, inner))
 
 
 def degeneracy(S, k, ref):
@@ -226,42 +219,27 @@ def _in_normal_form(S, ref):
 
 
 def simplices(S, n):
-    """All n-simplices in normal form, degenerate ones included.
+    """All n-simplices in normal form, degenerate ones included: numbered_level(S, n).refs.
 
     Valid words over a dimension-m generator at total dimension n are
     exactly the strictly decreasing (n-m)-subsets of {0..n-1}, giving
     C(n, m) degenerate occurrences per generator.  Works for any
     n >= 0, also above the bound (where everything returned is
-    degenerate).
+    degenerate); empty for n < 0.
     """
-    if n < 0:
-        return ()
-    memo = S._simplices_memo
-    hit = memo.get(n)
-    if hit is not None:
-        return hit
-    out = []
-    for m in range(min(n, S.bound) + 1):
-        p = n - m
-        for comb in itertools.combinations(range(n - 1, -1, -1), p):
-            for g in S.gens[m]:
-                out.append(SimplexRef(comb, g, n))
-    out.sort(key=ref_key)
-    out = tuple(out)
-    memo[n] = out
-    return out
+    return numbered_level(S, n).refs if n >= 0 else ()
 
 
 class NumberedLevel:
     """Level n of a simplicial set with its simplices numbered, for full-table scans.
 
-    The id of an n-simplex is its position in simplices(S, n).  The
-    simplices with one degeneracy word w form one block of ids, the
+    The simplices with one degeneracy word w form one block of ids, the
     generators of dimension n - len(w) by name, and `blocks` maps each
-    word to its range of ids, blocks in word order.  faces[k] holds the
-    id of d_k z one level down for every id z, and degens[j] the id of
-    s_j y for every id y one level down.  `refs` is simplices(S, n);
-    nothing here refers to S.
+    word to its range of ids, blocks in word order; this is ref_key
+    order, and `refs`, the simplices by id, is simplices(S, n).
+    faces[k] holds the id of d_k z one level down for every id z, and
+    degens[j] the id of s_j y for every id y one level down.  Nothing
+    here refers to S.
     """
 
     __slots__ = ("refs", "blocks", "faces", "degens", "_ids")
@@ -280,22 +258,26 @@ class NumberedLevel:
 def numbered_level(S, n):
     """Level n of S numbered (NumberedLevel), with the levels below it; memoised on S.
 
-    s_j maps the block of word w onto the block of word s_j w, keeping
-    positions.  d_k of a generator is read off the face table; of s_j y
-    it is y for k in {j, j+1}, else s_(j-1) d_k y (k < j) or
-    s_j d_(k-1) y (k > j+1), read from the arrays one and two levels
-    down (Gabriel-Zisman).  No face of a single simplex is computed.
+    The simplices are listed block by block, the degeneracy words of
+    length n - m in order for every m with generators, each block the
+    dimension-m generators by name.  s_j maps the block of word w onto
+    the block of word s_j w, keeping positions.  d_k of a generator is
+    read off the face table; of s_j y it is y for k in {j, j+1}, else
+    s_(j-1) d_k y (k < j) or s_j d_(k-1) y (k > j+1), read from the
+    arrays one and two levels down (Gabriel-Zisman).  No face of a
+    single simplex is computed.
     """
     memo = S._level_memo
     hit = memo.get(n)
     if hit is not None:
         return hit
-    blocks, at = {}, 0
+    blocks, refs = {}, []
     words = (w for m in range(min(n, S.bound) + 1) if S.gens[m]
              for w in itertools.combinations(range(n - 1, -1, -1), n - m))
     for word in sorted(words):
-        blocks[word] = range(at, at + len(S.gens[n - len(word)]))
-        at = blocks[word].stop
+        names = sorted(S.gens[n - len(word)])
+        blocks[word] = range(len(refs), len(refs) + len(names))
+        refs += [SimplexRef(word, g, n) for g in names]
     faces, degens = [], []
     if n:
         low = numbered_level(S, n - 1)
@@ -316,7 +298,7 @@ def numbered_level(S, n):
                     s, d = (low.degens[j - 1], low.faces[k]) if k < j else (low.degens[j], low.faces[k - 1])
                     col += map(s.__getitem__, d[inner.start:inner.stop])
             faces.append(col)
-    out = memo[n] = NumberedLevel(simplices(S, n), blocks, faces, degens)
+    out = memo[n] = NumberedLevel(tuple(refs), blocks, faces, degens)
     return out
 
 
@@ -350,7 +332,11 @@ def face_id_index(S, n, positions):
     cols = [_column(S, n, w) for w in positions]
     table = {}
     for z, part in enumerate(zip(*cols) if cols else itertools.repeat((), len(simplices(S, n)))):
-        table.setdefault(part, []).append(z)
+        zs = table.get(part)
+        if zs is None:
+            table[part] = [z]  # a list of one: setdefault's [] grows room for four
+        else:
+            zs.append(z)
     memo[key] = table
     return table
 

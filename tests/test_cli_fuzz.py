@@ -1,9 +1,10 @@
 """Every subcommand on drawn arguments ends in a verdict or a diagnostic.
 
 Each call runs on one of the CLI golden documents `sample`, `extra`
-and `vee`, with arguments drawn from its entity and vertex names plus
-one name that none of the documents has, and `--depth` from -1 to 3.  Whatever the draw, `finsimp` exits
-0, 1 or 2 and prints no traceback.
+and `vee`, or on the `window` document below, with arguments drawn
+from its entity and vertex names plus one name that none of the
+documents has, and `--depth` from -1 to 3.  Whatever the draw,
+`finsimp` exits 0, 1 or 2 and prints no traceback.
 """
 
 import contextlib
@@ -24,6 +25,27 @@ DOCUMENTS = {
     ].items()
     if key in ("sample", "extra", "vee")
 }
+# a truncated window and a map into it: slices, coslices, limits and colimits of Pick past
+# depth 0 need simplices above the window's bound
+DOCUMENTS["window"] = """
+sset Window {
+  dim 1;
+  truncated;
+  gen 0 a b;
+  gen 1 e;
+  face e 0 -> [] b;
+  face e 1 -> [] a;
+}
+
+sset Point {
+  dim 0;
+  gen 0 p;
+}
+
+map Pick: Point -> Window {
+  p -> [] a;
+}
+"""
 
 
 def document_names(text):
@@ -67,3 +89,14 @@ def test_every_command_ends_in_a_verdict_or_a_diagnostic(doc_paths, data):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("command", ["slice", "coslice", "limit", "colimit"])
+def test_slices_past_the_window_end_in_a_diagnostic(doc_paths, command, depth):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, doc_paths["window"], "Pick", "--depth", str(depth)])
+    what = "coslice" if command.startswith("co") else "slice"
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: {what} to depth {depth} needs simplices past the window bound 1\n"

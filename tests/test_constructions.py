@@ -6,10 +6,12 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finsimp.categories import join_categories, nerve
+from finsimp.categories import chain_category, join_categories, nerve
 from finsimp.constructions import (
     Cone,
+    _product_ref,
     coslice_data,
     coslice_under,
     join,
@@ -29,8 +31,12 @@ from finsimp.lifting import is_quasicategory
 from finsimp.simplicial import (
     EMPTY,
     DimensionError,
+    SimplexRef,
+    SimplicialMap,
+    TruncationError,
     discrete_simplicial_set,
     enumerate_maps,
+    face,
     find_isomorphism,
     identity_map,
     simplex_boundary,
@@ -39,6 +45,7 @@ from finsimp.simplicial import (
     truncate,
     validate,
 )
+from strategies import small_simplicial_sets
 
 
 def join_level_oracle(S, T, n):
@@ -179,6 +186,35 @@ def test_product_generators_match_the_pairwise_filter():
             assert [parts.pairs[g] for g in level] == pairwise_product_generators(S, T, n)
 
 
+def product_face_table_oracle(S, T):
+    """The face table of S x T by the face calculus: d_k of a pair is the normal form of its faces' pair."""
+    parts = product_parts(S, T)
+    return {
+        name: tuple(_product_ref(parts, face(S, k, r1), face(T, k, r2)) for k in range(r1.dim + 1))
+        for name, (r1, r2) in parts.pairs.items()
+        if r1.dim
+    }
+
+
+def test_product_face_table_matches_the_face_calculus():
+    bz2 = nerve(one_object_groupoid(cyclic_group(2)), 2)
+    cases = [(standard_simplex(p), standard_simplex(4 - p)) for p in range(5)]
+    cases += [(simplex_boundary(2)[0], standard_simplex(2)), (bz2, standard_simplex(1)), (bz2, bz2)]
+    for S, T in cases:
+        P = product(S, T)
+        assert list(P.face_table.items()) == list(product_face_table_oracle(S, T).items())
+        assert validate(P) == []
+
+
+@settings(max_examples=40)
+@given(small_simplicial_sets(), small_simplicial_sets(), st.integers(0, 2), st.integers(0, 2))
+def test_product_face_table_matches_the_face_calculus_on_generated_sets(S, T, d1, d2):
+    S, T = truncate(S, d1), truncate(T, d2)  # bounds summing to at most 4
+    P = product(S, T)
+    assert list(P.face_table.items()) == list(product_face_table_oracle(S, T).items())
+    assert validate(P) == []
+
+
 def test_product_with_point_is_identity_shaped():
     S = simplex_boundary(2)[0]
     P = product(S, standard_simplex(0))
@@ -307,3 +343,16 @@ def test_slice_depth_guard():
     with pytest.raises(DimensionError):
         slice_over(p, 99)
     assert coslice_under(vertex_inclusion(S, "0"), 0).bound == 0
+
+
+def test_slices_and_coslices_refuse_to_look_past_a_window():
+    # the coslice of 0 in 0 < 1 < 2 < 3 has (4, 6, 4) simplices to depth 2, read from the
+    # complete nerve; the window cut at 2 lacks the 3-simplices of its join shape Δ0 * Δ2
+    full, window = nerve(chain_category(3), 4), nerve(chain_category(3), 2)
+    assert window.truncated and not full.truncated
+    point = lambda S: SimplicialMap(standard_simplex(0), S, {"0": SimplexRef((), "0", 0)})
+    assert coslice_under(point(full), 2).size_vector() == (4, 6, 4)
+    for construct, what in [(slice_over, "slice"), (coslice_under, "coslice")]:
+        with pytest.raises(TruncationError, match=f"^{what} to depth 2 needs simplices past the window bound 2$"):
+            construct(point(window), 2)
+        assert construct(point(window), 1) == construct(point(full), 1)

@@ -236,6 +236,17 @@ def test_limit_is_gcd_and_colimit_is_lcm():
         assert colim.passers == (join_,)
 
 
+def test_limits_and_colimits_refuse_to_look_past_a_window():
+    # the slice of a two-point diagram at depth 2 maps the 3-simplices of Δ2 * K into the
+    # nerve, which a window cut at 2 lacks (1 | 2 | 4 | 12 is a longer chain)
+    window = truncate(divisor_nerve(), 2)
+    assert window.truncated
+    for search, what in [(limit, "slice"), (colimit, "coslice")]:
+        with pytest.raises(TruncationError, match=f"^{what} to depth 2 needs simplices past the window bound 2$"):
+            search(pair_diagram(window, "4", "6"), 2)
+        assert search(pair_diagram(window, "4", "6"), 1).passers == search(pair_diagram(divisor_nerve(), "4", "6"), 1).passers
+
+
 def test_limit_cone_map_restricts_to_the_diagram():
     N = divisor_nerve()
     p = pair_diagram(N, "4", "6")

@@ -33,6 +33,7 @@ from finsimp.simplicial import (
     identity_map,
     insert_degeneracy,
     numbered_level,
+    ref_key,
     rename_generators,
     simplex_boundary,
     simplex_map_from_vertices,
@@ -66,6 +67,24 @@ def subset_model_sizes(n, kept_facets):
             cells.update(itertools.combinations(facet, r))
     top = max((len(c) for c in cells), default=0)
     return tuple(sum(1 for c in cells if len(c) == m + 1) for m in range(top))
+
+
+def reference_simplices(S, n):
+    """The n-simplices by enumeration: every normal form (word, generator), sorted by ref_key.
+
+    A word over a dimension-m generator at dimension n is a strictly
+    decreasing (n-m)-subset of {0..n-1}; nothing is read from the
+    numbered levels.
+    """
+    if n < 0:
+        return ()
+    out = [
+        SimplexRef(word, g, n)
+        for m in range(min(n, S.bound) + 1)
+        for word in itertools.combinations(range(n - 1, -1, -1), n - m)
+        for g in S.gens[m]
+    ]
+    return tuple(sorted(out, key=ref_key))
 
 
 def boundary_oracle(n):
@@ -121,6 +140,41 @@ def test_simplices_sorted_and_stable():
     out = simplices(S, 3)
     assert out == tuple(sorted(out, key=lambda r: (r.word, r.gen)))
     assert simplices(S, 3) is out  # memoised
+
+
+def test_simplices_match_the_enumeration(corpus):
+    # the corpus nerves (windows among them), the standard family, EMPTY and truncations
+    nerves = {name: nerve(C, 3) for name, C, _ in corpus}
+    sets = [*nerves.values(), *map(standard_simplex, range(4)), EMPTY]
+    sets += [simplex_boundary(n)[0] for n in range(1, 4)]
+    sets += [horn(n, i)[0] for n in range(1, 4) for i in range(n + 1)]
+    sets += [truncate(standard_simplex(3), 1), truncate(nerves["bs3"], 2)]
+    # generators declared against name order, which the levels must not follow
+    flat = [g for level in standard_simplex(3).gens for g in level]
+    sets += [rename_generators(standard_simplex(3), {g: f"g{len(flat) - i:02d}" for i, g in enumerate(flat)})]
+    sets += [discrete_simplicial_set(["q", "p", "r"], bound=1)]
+    assert sum(S.truncated for S in sets) >= 5
+    for S in sets:
+        for n in range(-1, S.bound + 3):
+            assert simplices(S, n) == reference_simplices(S, n), (S, n)
+
+
+@settings(max_examples=40)
+@given(small_simplicial_sets())
+def test_simplices_match_the_enumeration_on_generated_sets(S):
+    for n in range(-1, S.bound + 3):
+        assert simplices(S, n) == reference_simplices(S, n)
+
+
+def test_face_keeps_no_state():
+    S = nerve(poset_category(["a", "b", "c"], lambda x, y: x <= y), 3)
+    levels = [simplices(S, n) for n in range(5)]
+    state = {name: len(v) if isinstance(v, dict) else v for name, v in vars(S).items()}
+    for zs in levels[1:]:
+        for z in zs:
+            for k in range(z.dim + 1):
+                face(S, k, z)
+    assert {name: len(v) if isinstance(v, dict) else v for name, v in vars(S).items()} == state
 
 
 def test_simplices_above_bound_all_degenerate():
