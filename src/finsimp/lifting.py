@@ -1,15 +1,16 @@
 """Horn filling, Kan and quasi-category checks, lifting problems.
 
 Everything here is brute force over the finite simplex sets: a horn
-map is a tuple of compatible facet values, streamed by the top-cell
-map search (simplicial.MapSearch), a filler is a simplex whose faces
-match it, and fibration checks enumerate commuting squares against
-horn or boundary inclusions and search for diagonal lifts.  Each such
-check is the one scan of _unfilled.  It files fillers by the ids of
-their facets d_k, k ascending, the key order of MapSearch's own
-tables, so the two share them; its search plans are built once per
-shape (_scan_plan).  A full SimplicialMap is built only for a witness:
-the failing map that enumerate_maps would list first (MapSearch.first).
+map is a tuple of compatible facet values, one row of the join of the
+top-cell map search (simplicial.MapSearch), a filler is a simplex
+whose faces match it, and fibration checks enumerate commuting squares
+against horn or boundary inclusions and search for diagonal lifts.
+Each such check is the one scan of _unfilled.  It reads the facet
+values column by column and files fillers by the ids of their facets
+d_k, k ascending, the key order of MapSearch's own tables, so the two
+share them; its search plans are built once per shape (_scan_plan).
+A full SimplicialMap is built only for a witness: the failing map
+that enumerate_maps would list first (MapSearch.first).
 
 Checks on a truncated window refuse to look past its bound; on a
 complete set any depth is allowed because everything above the bound
@@ -110,19 +111,20 @@ def _unfilled(K, n, skip, fails, fixed=None):
 
     fails(key, fillers) gets the ids of a map's facet values, k
     ascending, and of their fillers in K (face_id_index), and returns
-    None for a map that passes.  None if all do.
+    None for a map that passes.  None if all do.  The keys are read
+    column by column off the search's join.
     """
     shape, positions = _facets(n, skip)
-    fillers = face_id_index(K, n, positions)
+    get = face_id_index(K, n, positions).get
     search = MapSearch(shape, K, fixed, _plans=partial(_scan_plan, n, skip))
-    ids = None if search.by_id else numbered_level(K, n - 1).ids()
-
-    def key(xs):
-        return xs[::-1] if ids is None else tuple([ids[x] for x in reversed(xs)])
-
-    return search.first(
-        (xs, out) for xs in search if (out := fails(k := key(xs), fillers.get(k, ()))) is not None
-    )
+    _, tops = search.join()
+    if search.by_id:
+        cols = tops[::-1]
+    else:
+        ids = numbered_level(K, n - 1).ids()
+        cols = [list(map(ids.__getitem__, c)) for c in reversed(tops)]
+    found = [(i, out) for i, k in enumerate(zip(*cols)) if (out := fails(k, get(k, ()))) is not None]
+    return search.first(tops, found)
 
 
 def matching_simplices(K, assign, n, skip=None):

@@ -265,8 +265,10 @@ def numbered_level(S, n):
     read off the face table; of s_j y it is y for k in {j, j+1}, else
     s_(j-1) d_k y (k < j) or s_j d_(k-1) y (k > j+1), read from the
     arrays one and two levels down (Gabriel-Zisman).  No face of a
-    single simplex is computed.
+    single simplex is computed.  There is no level below 0.
     """
+    if n < 0:
+        raise DimensionError(f"level {n} out of range: levels start at 0")
     memo = S._level_memo
     hit = memo.get(n)
     if hit is not None:
@@ -893,22 +895,24 @@ class MapSearch:
 
     Iterating yields each such map once, as its values on A's top
     cells in declaration order (for a horn or a sphere: its facets,
-    vertex lists descending).  The search runs depth first over the
-    cells in _search_plan order.  A cell's value is looked up by its
-    faces that the pins and earlier cells fix: in the full face table
-    of B's n-simplices at those positions when no face is a pin's, else
-    among the face_lookup matches of its pinned faces, filed once per
-    search by the rest.  The faces it shares with itself are checked
-    after, and so is `constrain` on the generators read off it.  The
-    pins are first extended to the faces of pinned generators: when
-    they disagree, or one fails `constrain`, there are no maps.
+    vertex lists descending); `join` gives the same as one list per
+    cell.  The search is a join over the cells in _search_plan order,
+    one step (cell) at a time for all rows at once.  A cell's value is
+    looked up by its faces that the pins and earlier cells fix: in the
+    full face table of B's n-simplices at those positions when no face
+    is a pin's, else among the face_lookup matches of its pinned faces,
+    filed once per search by the rest.  The faces it shares with itself
+    are checked after, and so is `constrain` on the generators read off
+    it.  The pins are first extended to the faces of pinned generators:
+    when they disagree, or one fails `constrain`, there are no maps.
 
     With no pins and no `constrain` (`by_id`: every horn and sphere
-    scan, horn_maps) every cell reads a full table, so the search runs
-    on the ids of numbered_level: values are ints, ties and checks read
-    faces from id arrays, and the tables are face_id_index's.  Otherwise
-    it runs on simplices and reads face_index.  `row` gives a map's
-    value row in the search's own terms and `as_refs` turns it into
+    scan, horn_maps), unless dead pins leave no maps, every cell reads
+    a full table, so the search runs on the ids of numbered_level:
+    values are ints, ties and checks read faces from id arrays, and the
+    tables are face_id_index's.  Otherwise it runs on simplices and
+    reads face_index.  `rows` gives the maps'
+    value rows in the search's own terms and `as_refs` turns one into
     simplices; rows sort like map_key either way.  `_plans`, internal,
     gives the search plan for the frozenset of pinned names, for scans
     that build one plan per shape (default: _search_plan of A).
@@ -930,8 +934,8 @@ class MapSearch:
         plan = (_plans or partial(_search_plan, A))(frozenset(pins or ()))
         names, self.steps, self.slots, self.program, self.out = plan
         self.pins = [pins[g] for g in names] if self.live else []
-        self.by_id = not self.pins and constrain is None
-        if self.by_id and self.live:
+        self.by_id = self.live and not self.pins and constrain is None
+        if self.by_id:
             # the program's (register, face) steps become (register, id array) steps
             dims = [self.steps[s][0] for s in self.slots]
             self._program = []
@@ -940,121 +944,129 @@ class MapSearch:
                 dims.append(dims[r] - 1)
             self._levels = [simplices(B, A.gen_dim[g]) for g in self.flat]
 
-    def _id_readers(self, xs):
-        """Per step its face_id_index table, ties as (slot, _column) and checks; the key and check readers."""
-        B, steps = self.target, self.steps
-        lookups = [
-            (
-                face_id_index(B, n, positions),
-                [(s, _column(B, steps[s][0], w, word)) for s, w, word in ties],
-                [(_column(B, n, w), _column(B, n, w0, word)) for w, w0, word in checks],
-                (),
-            )
-            for n, positions, ties, checks, _ in steps
-        ]
+    def _lookups(self):
+        """Per step its table, its ties as (slot, reader), and the filter of its candidates or None.
 
-        def key(ties):
-            return tuple([col[xs[s]] for s, col in ties])
-
-        def fits(x, checks, _):
-            return all(left[x] == right[x] for left, right in checks)
-
-        return key, fits, lookups
-
-    def _ref_readers(self, xs):
-        """Per step its table, ties, checks and constrained generators; the key and check readers.
-
-        Ties to pins have one key per search, so those candidates are
-        looked up once and filed by the rest; a step without them uses
-        face_index.
+        A reader takes the slot's value to the tie's key part: by id it
+        indexes a composed column of face arrays (_column).  On
+        simplices, ties to pins have one key per search, so those
+        candidates are looked up once and filed by the rest; a step
+        without them uses face_index.
         """
-        B, constrain, base = self.target, self.constrain, len(xs)
-
-        def key(ties):
-            out = []
-            for s, w, word in ties:
-                z = xs[s]
-                for k in w:
-                    z = face(B, k, z)
-                out.append(word_apply(word, z) if word else z)
-            return tuple(out)
-
-        def fits(x, checks, new):
-            return all(
-                _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
-            ) and all(constrain(g, _face_word(B, w, x)) for g, w in new)
-
+        B, constrain, base = self.target, self.constrain, len(self.pins)
         lookups = []
         for n, positions, ties, checks, new in self.steps:
+            if self.by_id:
+                cols = [(_column(B, n, w), _column(B, n, w0, word)) for w, w0, word in checks]
+                lookups.append((
+                    face_id_index(B, n, positions),
+                    [(s, _column(B, self.steps[s][0], w, word).__getitem__) for s, w, word in ties],
+                    partial(_fits_ids, cols) if cols else None,
+                ))
+                continue
             new = new if constrain is not None else ()
+            fits = partial(_fits_refs, B, constrain, checks, new) if checks or new else None
+            readers = [(s, partial(_tie_value, B, w, word)) for s, w, word in ties if s >= base]
             pinned = [t for t, tie in enumerate(ties) if tie[0] < base]
             if not pinned:
-                lookups.append((face_index(B, n, positions=positions), ties, checks, new))
+                lookups.append((face_index(B, n, positions=positions), readers, fits))
                 continue
-            pool = face_lookup(B, n, tuple(positions[t] for t in pinned), key([ties[t] for t in pinned]))
-            rest = [t for t, tie in enumerate(ties) if tie[0] >= base]
+            key = tuple([_tie_value(B, w, word, self.pins[s]) for s, w, word in (ties[t] for t in pinned)])
+            rest = [positions[t] for t, tie in enumerate(ties) if tie[0] >= base]
             table = {}
-            for x in pool:
-                table.setdefault(tuple([_face_word(B, positions[t], x) for t in rest]), []).append(x)
-            lookups.append((table, [ties[t] for t in rest], checks, new))
-        return key, fits, lookups
+            for x in face_lookup(B, n, tuple(positions[t] for t in pinned), key):
+                table.setdefault(tuple([_face_word(B, w, x) for w in rest]), []).append(x)
+            lookups.append((table, readers, fits))
+        return lookups
+
+    def join(self):
+        """(count, tops): how many maps there are, and their values on A's top cells, one list per cell.
+
+        The cells are in declaration order, as iterating yields them.
+        The filled steps keep one column each.  A step reads its key
+        columns off the columns of the tied slots, looks up the pools of
+        all rows at once, filters them, and expands every earlier
+        column by the parent of each new row.  New rows come in parent
+        order, then pool order: depth-first order over the steps.
+        """
+        if not self.live:
+            return 0, [[] for _ in self.slots]
+        base, count, cols = len(self.pins), 1, []
+        for table, readers, fits in self._lookups():
+            keys = zip(*[map(f, cols[s - base]) for s, f in readers]) if readers else [()] * count
+            pools = list(map(table.get, keys, itertools.repeat(())))
+            if fits is not None:
+                pools = [list(filter(fits, pool)) for pool in pools]
+            sizes = list(map(len, pools))
+            col = list(itertools.chain.from_iterable(pools))
+            del pools
+            if len(col) != count or 0 in sizes:
+                parents = list(itertools.chain.from_iterable(map(itertools.repeat, range(count), sizes)))
+                cols = [list(map(c.__getitem__, parents)) for c in cols]
+            cols.append(col)
+            count = len(col)
+        return count, [cols[s - base] for s in self.slots]
 
     def __iter__(self):
-        if not self.live:
-            return
-        steps, slots = self.steps, self.slots
-        if not steps:
-            yield ()
-            return
-        xs = list(self.pins)
-        base = len(xs)
-        key, fits, lookups = (self._id_readers if self.by_id else self._ref_readers)(xs)
+        return _transposed(*self.join())
 
-        def candidates():
-            table, ties, checks, new = lookups[len(xs) - base]
-            pool = table.get(key(ties), ())
-            if checks or new:
-                pool = [x for x in pool if fits(x, checks, new)]
-            return iter(pool)
+    def rows(self, count, tops):
+        """The value rows of the `count` maps with top-cell values `tops`, one list per cell as from join.
 
-        stack = [candidates()]  # stack[j]: the untried candidates of step j; a for loop resumes them
-        while stack:
-            for x in stack[-1]:
-                del xs[base + len(stack) - 1:]
-                xs.append(x)
-                if len(stack) < len(steps):
-                    stack.append(candidates())
-                    break
-                yield tuple([xs[s] for s in slots])
-            else:
-                stack.pop()
-
-    def row(self, tops):
-        """The values on A's generators, in declaration order, of the map with top-cell values `tops`.
-
-        Ids when by_id, else simplices.  Rows sort like map_key: position
-        p holds values of one dimension, and ids follow simplices(B, n),
-        which is sorted by ref_key.
+        A row holds a map's values on A's generators in declaration
+        order: ids when by_id, else simplices.  The program runs column
+        by column.  Rows sort like map_key: position p holds values of
+        one dimension, and ids follow simplices(B, n), which is sorted
+        by ref_key.
         """
-        regs = [*self.pins, *tops]
+        regs = [*([x] * count for x in self.pins), *tops]
         if self.by_id:
             for src, a in self._program:
-                regs.append(a[regs[src]])
+                regs.append(list(map(a.__getitem__, regs[src])))
         else:
             for src, k in self.program:
-                regs.append(face(self.target, k, regs[src]))
-        return tuple([regs[r] for r in self.out])
+                regs.append(list(map(partial(face, self.target, k), regs[src])))
+        return _transposed(count, [regs[r] for r in self.out])
 
     def as_refs(self, row):
         """A row of this search as simplices."""
         return tuple(map(getitem, self._levels, row)) if self.by_id else row
 
-    def first(self, found):
-        """The (map, payload) of (tops, payload) pairs whose map enumerate_maps lists first; None if none."""
-        best = min(found, key=lambda pair: self.row(pair[0]), default=None)
-        if best is None:
+    def first(self, tops, found):
+        """The (map, payload) of the (row number, payload) pairs in `found` whose map is listed first.
+
+        Row numbers index the columns `tops` of join; first means first
+        in enumerate_maps order.  None if `found` is empty.
+        """
+        if not found:
             return None
-        return SimplicialMap(self.source, self.target, zip(self.flat, self.as_refs(self.row(best[0])))), best[1]
+        picked = [i for i, _ in found]
+        rows = list(self.rows(len(found), [list(map(c.__getitem__, picked)) for c in tops]))
+        best = min(range(len(rows)), key=rows.__getitem__)
+        values = self.as_refs(rows[best])
+        return SimplicialMap(self.source, self.target, zip(self.flat, values)), found[best][1]
+
+
+def _transposed(count, cols):
+    """The rows of `count` rows stored as columns; `count` empty rows when there are no columns."""
+    return zip(*cols) if cols else iter([()] * count)
+
+
+def _tie_value(B, w, word, z):
+    """s_word d_w z: a tie's key part read off the value z of its slot."""
+    for k in w:
+        z = face(B, k, z)
+    return word_apply(word, z) if word else z
+
+
+def _fits_ids(checks, x):
+    return all(left[x] == right[x] for left, right in checks)
+
+
+def _fits_refs(B, constrain, checks, new, x):
+    return all(
+        _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
+    ) and all(constrain(g, _face_word(B, w, x)) for g, w in new)
 
 
 def map_rows(A, B, fixed=None, limit=None, constrain=None):
@@ -1063,7 +1075,7 @@ def map_rows(A, B, fixed=None, limit=None, constrain=None):
     Rows sort like map_key, so the list is enumerate_maps' order.
     """
     search = MapSearch(A, B, fixed, constrain)
-    return [search.as_refs(row) for row in sorted(map(search.row, search))[:limit]]
+    return [search.as_refs(row) for row in sorted(search.rows(*search.join()))[:limit]]
 
 
 def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):

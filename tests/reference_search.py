@@ -1,12 +1,27 @@
-"""The per-generator map search that enumerate_maps used before the top-cell search.
+"""Two map searches that enumerate_maps used before, kept as oracles.
 
-It assigns one generator at a time, always a ready one (all its faces
-assigned) with the fewest candidates, looked up by face tuple.  Kept
-as the oracle of the top-cell search: same maps, same order.  With
-`limit` it stops after the first `limit` maps in search order, unsorted.
+reference_maps is the per-generator search that came before the
+top-cell search.  It assigns one generator at a time, always a ready
+one (all its faces assigned) with the fewest candidates, looked up by
+face tuple: same maps, same order as enumerate_maps.  With `limit` it
+stops after the first `limit` maps in search order, unsorted.
+
+dfs_tops is the depth-first loop over a MapSearch's top cells that
+came before its columnar join: same tuples, same order as iterating
+the search, and it counts the search nodes per depth.
 """
 
-from finsimp.simplicial import SimplicialMap, face_index, map_key, word_apply
+from finsimp.simplicial import (
+    SimplicialMap,
+    _column,
+    _face_word,
+    face,
+    face_id_index,
+    face_index,
+    face_lookup,
+    map_key,
+    word_apply,
+)
 
 
 def _search_order(A):
@@ -145,3 +160,104 @@ def reference_maps(A, B, fixed=None, limit=None, constrain=None):
     if limit is None:
         maps.sort(key=map_key)
     return maps
+
+
+def _id_readers(search, xs):
+    """Per step its face_id_index table, ties as (slot, _column) and checks; the key and check readers."""
+    B, steps = search.target, search.steps
+    lookups = [
+        (
+            face_id_index(B, n, positions),
+            [(s, _column(B, steps[s][0], w, word)) for s, w, word in ties],
+            [(_column(B, n, w), _column(B, n, w0, word)) for w, w0, word in checks],
+            (),
+        )
+        for n, positions, ties, checks, _ in steps
+    ]
+
+    def key(ties):
+        return tuple([col[xs[s]] for s, col in ties])
+
+    def fits(x, checks, _):
+        return all(left[x] == right[x] for left, right in checks)
+
+    return key, fits, lookups
+
+
+def _ref_readers(search, xs):
+    """Per step its table, ties, checks and constrained generators; the key and check readers.
+
+    Ties to pins have one key per search, so those candidates are
+    looked up once and filed by the rest; a step without them uses
+    face_index.
+    """
+    B, constrain, base = search.target, search.constrain, len(xs)
+
+    def key(ties):
+        out = []
+        for s, w, word in ties:
+            z = xs[s]
+            for k in w:
+                z = face(B, k, z)
+            out.append(word_apply(word, z) if word else z)
+        return tuple(out)
+
+    def fits(x, checks, new):
+        return all(
+            _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
+        ) and all(constrain(g, _face_word(B, w, x)) for g, w in new)
+
+    lookups = []
+    for n, positions, ties, checks, new in search.steps:
+        new = new if constrain is not None else ()
+        pinned = [t for t, tie in enumerate(ties) if tie[0] < base]
+        if not pinned:
+            lookups.append((face_index(B, n, positions=positions), ties, checks, new))
+            continue
+        pool = face_lookup(B, n, tuple(positions[t] for t in pinned), key([ties[t] for t in pinned]))
+        rest = [t for t, tie in enumerate(ties) if tie[0] >= base]
+        table = {}
+        for x in pool:
+            table.setdefault(tuple([_face_word(B, positions[t], x) for t in rest]), []).append(x)
+        lookups.append((table, [ties[t] for t in rest], checks, new))
+    return key, fits, lookups
+
+
+def dfs_tops(search, nodes=None):
+    """The top-cell values of a MapSearch's maps, found depth first over its steps.
+
+    The loop MapSearch ran before its columnar join: same plan, same
+    tables, one candidate at a time.  Yields the same tuples in the
+    same order.  With `nodes`, a list with one zero per step, it counts
+    the search nodes (candidates tried) at each depth.
+    """
+    if not search.live:
+        return
+    steps, slots = search.steps, search.slots
+    if not steps:
+        yield ()
+        return
+    xs = list(search.pins)
+    base = len(xs)
+    key, fits, lookups = (_id_readers if search.by_id else _ref_readers)(search, xs)
+
+    def candidates():
+        table, ties, checks, new = lookups[len(xs) - base]
+        pool = table.get(key(ties), ())
+        if checks or new:
+            pool = [x for x in pool if fits(x, checks, new)]
+        return iter(pool)
+
+    stack = [candidates()]  # stack[j]: the untried candidates of step j; a for loop resumes them
+    while stack:
+        for x in stack[-1]:
+            del xs[base + len(stack) - 1:]
+            xs.append(x)
+            if nodes is not None:
+                nodes[len(stack) - 1] += 1
+            if len(stack) < len(steps):
+                stack.append(candidates())
+                break
+            yield tuple([xs[s] for s in slots])
+        else:
+            stack.pop()

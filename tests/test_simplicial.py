@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from finsimp.categories import nerve, poset_category
 from finsimp.constructions import slice_over
+from finsimp.groups import one_object_groupoid, symmetric_group
 from finsimp.lifting import HornMap, horn_maps
 from finsimp.simplicial import (
     EMPTY,
@@ -32,6 +33,7 @@ from finsimp.simplicial import (
     horn,
     identity_map,
     insert_degeneracy,
+    map_rows,
     numbered_level,
     ref_key,
     rename_generators,
@@ -43,7 +45,7 @@ from finsimp.simplicial import (
     validate,
     word_apply,
 )
-from reference_search import reference_maps
+from reference_search import dfs_tops, reference_maps
 from strategies import small_simplicial_sets
 
 
@@ -280,6 +282,14 @@ def test_face_index_out_of_range():
         face(S, 0, v)
 
 
+def test_no_level_below_0():
+    for S in (standard_simplex(1), EMPTY):
+        with pytest.raises(DimensionError):
+            numbered_level(S, -1)
+        assert simplices(S, -1) == ()
+        assert simplices(S, -3) == ()
+
+
 # --- validation --------------------------------------------------------------
 
 def scan_for_faces(S, n, skip, key):
@@ -399,7 +409,7 @@ def test_face_index_is_the_view_of_the_id_table(corpus):
 def test_id_rows_sort_like_their_ref_rows(A, B):
     search = MapSearch(A, B)
     assert search.by_id
-    rows = [search.row(tops) for tops in search]
+    rows = list(search.rows(*search.join()))
     assert all(isinstance(x, int) for row in rows for x in row)
     refs = [search.as_refs(row) for row in rows]
     assert sorted(range(len(rows)), key=rows.__getitem__) == sorted(range(len(refs)), key=refs.__getitem__)
@@ -581,6 +591,14 @@ def test_horn_and_sphere_maps_match_the_reference_search(S):
                 assert assigns(enumerate_maps(B, S, fixed=fixed)) == assigns(reference_maps(B, S, fixed=fixed))
 
 
+def assert_join_matches_the_depth_first_loop(search):
+    tops = list(search)
+    assert tops == list(dfs_tops(search))
+    count, cols = search.join()
+    assert count == len(tops)
+    assert [tuple(c) for c in cols] == (list(zip(*tops)) if tops else [() for _ in search.slots])
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_simplicial_sets(), small_simplicial_sets(), st.data())
 def test_enumerate_maps_matches_the_reference_search(A, B, data):
@@ -603,6 +621,7 @@ def test_enumerate_maps_matches_the_reference_search(A, B, data):
         want = reference_maps(A, B, **kwargs)
         assert assigns(enumerate_maps(A, B, **kwargs)) == assigns(want)
         assert assigns(enumerate_maps(A, B, limit=1, **kwargs)) == assigns(want[:1])
+        assert_join_matches_the_depth_first_loop(MapSearch(A, B, **kwargs))
 
 
 def test_enumeration_pins_the_faces_of_a_pinned_generator():
@@ -615,6 +634,81 @@ def test_enumeration_pins_the_faces_of_a_pinned_generator():
     # a pin outside the target, or not in normal form, leaves no map either
     assert enumerate_maps(S, S, fixed={"01": SimplexRef((), "ghost", 1)}) == []
     assert enumerate_maps(S, S, fixed={"01": SimplexRef((5,), "0", 1)}) == []
+
+
+def test_map_search_without_steps_or_with_dead_pins_matches_the_depth_first_loop():
+    S = standard_simplex(1)
+    edge = S.generator("01")
+    empty = MapSearch(EMPTY, S)
+    assert not empty.steps
+    assert list(empty) == [()]
+    assert_join_matches_the_depth_first_loop(empty)
+    for A, kwargs in [
+        (S, {"fixed": {"01": edge, "0": S.generator("1")}}),
+        (S, {"fixed": {"01": edge}, "constrain": lambda g, r: g != "1"}),
+        (horn(3, 1)[0], {"fixed": {"0": S.generator("1"), "01": edge}}),
+    ]:
+        search = MapSearch(A, S, **kwargs)
+        assert not search.live and not search.by_id
+        assert list(search) == []
+        assert_join_matches_the_depth_first_loop(search)
+        assert map_rows(A, S, **kwargs) == []
+
+
+class CountedTable(dict):
+    """A face table that counts its lookups: one per row entering its step."""
+
+    def __init__(self, table, calls, step):
+        super().__init__(table)
+        self.calls, self.step = calls, step
+
+    def get(self, key, default=None):
+        self.calls[self.step] += 1
+        return super().get(key, default)
+
+
+class CountedSearch(MapSearch):
+    def _lookups(self):
+        lookups = super()._lookups()
+        self.calls = [0] * len(lookups)
+        return [(CountedTable(table, self.calls, j), *rest) for j, (table, *rest) in enumerate(lookups)]
+
+
+def test_join_rows_per_step_are_the_depth_first_nodes_per_depth():
+    # machine-independent: the rows after step j (the lookups of step j + 1, and the
+    # maps after the last) are the search nodes at depth j of the depth-first loop
+    N = nerve(one_object_groupoid(symmetric_group(3)), 4)
+    for i in range(5):
+        search = CountedSearch(horn(4, i)[0], N)
+        count, _ = search.join()
+        rows = [*search.calls[1:], count]
+        nodes = [0] * len(search.steps)
+        assert len(list(dfs_tops(search, nodes))) == count
+        assert rows == nodes == [216, 1296, 1296, 1296]
+
+
+def test_map_search_and_map_rows_leave_no_cyclic_garbage():
+    # the join's readers and filters are bound methods and partials, no closures
+    N = nerve(one_object_groupoid(symmetric_group(3)), 3)
+    pin = {"0": SimplexRef((), "pt", 0)}
+
+    def run():
+        assert len(list(MapSearch(horn(3, 1)[0], N))) == 216
+        assert len(map_rows(standard_simplex(2), N)) == 36
+        assert len(map_rows(standard_simplex(2), N, fixed=pin, constrain=no_identity_edge)) == 20
+
+    run()  # builds the memos on N
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def no_identity_edge(g, r):
+    return r.dim != 1 or r.word != (0,)
 
 
 # --- isomorphism search -------------------------------------------------------
