@@ -12,7 +12,9 @@ so the cardinality bookkeeping is exact:
 * (S x T)_n = S_n x T_n; a pair is degenerate exactly when the two
   degeneracy words share a letter, so the generators in dimension n
   are the pairs of n-simplices with disjoint words.  Normalisation
-  strips the shared letters and reindexes the rest.
+  strips the shared letters and reindexes the rest.  Faces are read
+  as id pairs from the factors' numbered levels, with one normal form
+  per distinct pair; a truncated factor cuts the product at its bound.
 
 * The slice of p : K -> S in dimension n is the set of maps from the
   join of the standard n-simplex with K into S restricting to p; faces
@@ -29,6 +31,7 @@ so the cardinality bookkeeping is exact:
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .simplicial import (
@@ -47,7 +50,6 @@ from .simplicial import (
     map_rows,
     maps_of_rows,
     numbered_level,
-    simplices,
     standard_simplex,
     word_apply,
 )
@@ -211,59 +213,82 @@ class ProductParts(NamedTuple):
     names: dict
 
 
-def _product_ref(parts, r1, r2):
-    """Normal form of the pair (r1, r2): strip the shared degeneracy letters.
+@lru_cache(maxsize=1024)
+def _split(w1, w2):
+    """The shared letters of two degeneracy words, and each word with them stripped.
 
-    The shared letters (in both words) form the pair's word; the
-    leftover letters reindex by the number of smaller shared letters.
+    The shared letters, decreasing, are the word of the pair; a
+    leftover letter drops by the number of smaller shared letters.
     """
-    shared = set(r1.word) & set(r2.word)
-    word = tuple(sorted(shared, reverse=True))
+    shared = set(w1) & set(w2)
 
     def strip(w):
         return tuple(x - sum(1 for t in shared if t < x) for x in w if x not in shared)
 
-    core1 = SimplexRef(strip(r1.word), r1.gen, r1.dim - len(shared))
-    core2 = SimplexRef(strip(r2.word), r2.gen, r2.dim - len(shared))
-    gen = parts.names[(core1, core2)]
+    return tuple(sorted(shared, reverse=True)), strip(w1), strip(w2)
+
+
+def _product_ref(parts, r1, r2):
+    """Normal form of the pair (r1, r2): the shared letters over the pair of what is left."""
+    word, w1, w2 = _split(r1.word, r2.word)
+    m = r1.dim - len(word)
+    gen = parts.names.get((SimplexRef(w1, r1.gen, m), SimplexRef(w2, r2.gen, m)))
+    if gen is None:
+        raise TruncationError(f"a pair of dimension {m} lies past the product's window bound {parts.sset.bound}")
     return SimplexRef(word, gen, r1.dim)
 
 
 @lru_cache(maxsize=PARTS_CACHE_SIZE)
 def product_parts(S, T):
-    """The product with generator pairs = same-dimension refs, disjoint words."""
+    """The product with generator pairs = same-dimension refs, disjoint words.
+
+    A truncated factor cuts the product at its bound.  The faces of a
+    pair are read as id pairs from the factors' numbered levels, and
+    each distinct id pair gets one normal form, shared by every face
+    tuple that names it.
+    """
     if S.bound < 0 or T.bound < 0:
         return ProductParts(EMPTY, {}, {})
-    bound = S.bound + T.bound
+    bound = min([S.bound + T.bound] + [F.bound for F in (S, T) if F.truncated])
     if bound > MAX_DIM:
-        raise DimensionError(
-            f"product bound {bound} exceeds the supported maximum {MAX_DIM}"
-        )
-    pairs = {}
-    names = {}
-    placeholder = ProductParts(None, pairs, names)
-    gens_by_dim = []
-    faces = {}
+        raise DimensionError(f"product bound {bound} exceeds the supported maximum {MAX_DIM}")
+    pairs, names, faces, gens_by_dim = {}, {}, {}, []
+    levels = []  # both factors' numbered levels, per level
+
+    def normal(key):
+        """Normal form of the pair of (n-1)-simplices with ids divmod(key, width), kept in memo.
+
+        The shared letters over the generators at the same places in the blocks of the stripped words.
+        """
+        (y1, y2), (L1, L2) = divmod(key, width), levels[n - 1]
+        word, w1, w2 = _split(L1.refs[y1].word, L2.refs[y2].word)
+        C1, C2 = levels[n - 1 - len(word)]
+        core1 = C1.refs[C1.blocks[w1].start + y1 - L1.blocks[L1.refs[y1].word].start]
+        core2 = C2.refs[C2.blocks[w2].start + y2 - L2.blocks[L2.refs[y2].word].start]
+        out = memo[key] = SimplexRef(word, names[(core1, core2)], n - 1)
+        return out
+
     for n in range(bound + 1):
-        level = []
+        level, memo = [], {}
         L1, L2 = numbered_level(S, n), numbered_level(T, n)
-        low1, low2 = simplices(S, n - 1), simplices(T, n - 1)
+        labels1, labels2 = list(map(_ref_label, L1.refs)), list(map(_ref_label, L2.refs))
+        if n:  # the faces are pairs one level down, named already
+            width = len(levels[-1][1].refs)
+            rows1 = [[y * width for y in row] for row in zip(*L1.faces)]
+            rows2 = list(zip(*L2.faces))
         for word, run in L1.blocks.items():
             partners = [z2 for w2, run2 in L2.blocks.items() if set(word).isdisjoint(w2) for z2 in run2]
             for z1 in run:
-                r1 = L1.refs[z1]
+                r1, label = L1.refs[z1], labels1[z1]
                 for z2 in partners:
-                    r2 = L2.refs[z2]
-                    name = f"({_ref_label(r1)})x({_ref_label(r2)})"
-                    pairs[name] = (r1, r2)
-                    names[(r1, r2)] = name
+                    name = f"({label})x({labels2[z2]})"
+                    pairs[name] = pair = (r1, L2.refs[z2])
+                    names[pair] = name
                     level.append(name)
-                    if n:  # the faces are pairs one level down, named already
-                        faces[name] = tuple(
-                            _product_ref(placeholder, low1[f1[z1]], low2[f2[z2]])
-                            for f1, f2 in zip(L1.faces, L2.faces)
-                        )
+                    if n:
+                        faces[name] = tuple([memo.get(k) or normal(k) for k in map(add, rows1[z1], rows2[z2])])
         gens_by_dim.append(level)
+        levels.append((L1, L2))
     sset = SimplicialSet(gens_by_dim, faces, truncated=S.truncated or T.truncated)
     return ProductParts(sset, pairs, names)
 

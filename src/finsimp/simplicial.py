@@ -764,11 +764,13 @@ def _ref_from_vertex_tuple(T, vts):
     return SimplexRef(word, gen, len(vts) - 1)
 
 
+@lru_cache(maxsize=None)
 def coface_map(n, k):
     """The face inclusion that skips vertex k: standard (n-1)-simplex into the n-simplex."""
     return simplex_map_from_vertices(n - 1, n, [j if j < k else j + 1 for j in range(n)])
 
 
+@lru_cache(maxsize=None)
 def codegeneracy_map(n, k):
     """The collapse that repeats vertex k: standard n-simplex onto the (n-1)-simplex."""
     return simplex_map_from_vertices(n, n - 1, [j if j <= k else j - 1 for j in range(n + 1)])

@@ -28,11 +28,13 @@ from finsimp.constructions import (
 )
 from finsimp.groups import cyclic_group, one_object_groupoid
 from finsimp.lifting import is_quasicategory
+from finsimp.limits import mapping_space
 from finsimp.simplicial import (
     EMPTY,
     DimensionError,
     SimplexRef,
     SimplicialMap,
+    SimplicialSet,
     TruncationError,
     discrete_simplicial_set,
     enumerate_maps,
@@ -256,6 +258,57 @@ def test_product_of_maps_validates():
     g = identity_map(standard_simplex(1))
     pm = product_of_maps(f, g)
     assert pm.validate() == []
+
+
+def test_product_faces_share_one_object_per_face_value():
+    # every face tuple names the one normal form of its face pair
+    P = product(standard_simplex(3), standard_simplex(4))
+    refs = [r for refs in P.face_table.values() for r in refs]
+    assert len(refs) == 14380
+    assert len(set(refs)) == len({id(r) for r in refs}) == 3036
+
+
+def test_product_of_windows_stops_at_the_smallest_window_bound():
+    # N(chain 2) cut at 1, squared: the true product is the nerve of the 3 x 3 grid,
+    # which has 37 triangles, not the 18 pairs of triangles of the windows
+    N = nerve(chain_category(2), 1)
+    P = product(N, N)
+    assert P.truncated and P.size_vector() == (9, 27)
+    with pytest.raises(TruncationError):
+        is_quasicategory(P, 2)
+    assert product(standard_simplex(2), N).size_vector() == (9, 27)
+    assert product(standard_simplex(2), standard_simplex(1)).bound == 3
+
+
+def test_product_bound_guard_reads_the_cut_bound():
+    window = SimplicialSet([["v"], [], [], [], [], []], {}, truncated=True)
+    assert product(window, window).bound == 5
+    with pytest.raises(DimensionError, match="bound 10"):
+        product(standard_simplex(5), standard_simplex(5))
+
+
+def test_product_of_maps_past_the_target_window_raises():
+    N = nerve(chain_category(2), 1)
+    e = N.generator("le_0_1")
+    f = SimplicialMap(standard_simplex(1), N, {"0": N.generator("0"), "1": N.generator("1"), "01": e})
+    assert f.validate() == []
+    # the triangles of the source square land on pairs of triangles above the window
+    with pytest.raises(TruncationError, match="window bound 1"):
+        product_of_maps(f, f)
+
+
+def test_products_and_mapping_spaces_leave_no_cyclic_garbage():
+    C = nerve(chain_category(2), 3)
+    S, T = standard_simplex(2), nerve(chain_category(1), 2)
+    product_parts.cache_clear()  # so that both build their products here
+    gc.collect()
+    gc.disable()
+    try:
+        assert product(S, T).size_vector() == (6, 12, 10, 3, 0)
+        assert mapping_space(C, "0", "2", 2).bound == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- slices ------------------------------------------------------------------

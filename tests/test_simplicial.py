@@ -504,6 +504,12 @@ def test_cosimplicial_relations():
             assert compose(s, coface_map(n, k + 1)) == identity_map(standard_simplex(n - 1))
 
 
+def test_cofaces_and_codegeneracies_are_built_once_per_n_and_k():
+    assert coface_map(3, 1) is coface_map(3, 1)
+    assert codegeneracy_map(3, 1) is codegeneracy_map(3, 1)
+    assert coface_map(3, 1) is not coface_map(3, 2)
+
+
 # --- map enumeration ----------------------------------------------------------
 
 @pytest.mark.parametrize("k,n", [(0, 0), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])

@@ -12,15 +12,19 @@ nerve N(C), so it must hold on every draw:
   when it is initial (Lurie, *Higher Topos Theory*, 1.2.12);
 - the mapping space from x to y is the discrete set Hom(x, y);
 - in a poset, the limit and the colimit of two points are their meet
-  and their join, and there is no apex when these do not exist.
+  and their join, and there is no apex when these do not exist;
+- the nerve preserves products: N(C x D) is N(C) x N(D) (Lurie,
+  *Kerodon*, on the nerve of a category).
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from finsimp.categories import categories_isomorphic, is_groupoid, nerve, nerve_detect
+from finsimp.categories import FiniteCategory, categories_isomorphic, chain_category, is_groupoid, nerve, nerve_detect
+from finsimp.constructions import product
+from finsimp.groups import cyclic_group, one_object_groupoid
 from finsimp.lifting import has_unique_inner_fillers, is_kan, is_quasicategory
 from finsimp.limits import colimit, is_final, is_initial, limit, mapping_space
-from finsimp.simplicial import SimplicialMap, discrete_simplicial_set
+from finsimp.simplicial import SimplicialMap, discrete_simplicial_set, find_isomorphism, truncate
 from strategies import small_categories, small_posets
 
 
@@ -89,3 +93,48 @@ def test_limits_of_two_points_are_meets_and_colimits_joins(poset, data):
     pair = SimplicialMap(K, N, {"p": N.generator(a), "q": N.generator(b)})
     assert limit(pair, 2).apex == greatest_lower_bound(C.objects, leq, a, b)
     assert colimit(pair, 2).apex == greatest_lower_bound(C.objects, lambda c, d: leq(d, c), a, b)
+
+
+def product_category(C, D):
+    """C x D, every object and morphism named as the product of the nerves names the pair of simplices.
+
+    An identity coordinate is the degenerate edge s0 on its object, and
+    objects and non-identities are declared in name order, so the nerve
+    of C x D lists vertices and edges in the order of the product of nerves.
+    """
+
+    def label(E, m):
+        return f"s0_{E.src[m]}" if E.is_identity(m) else m
+
+    obj = {(a, b): f"({a})x({b})" for a in C.objects for b in D.objects}
+    mor = {
+        (f, g): f"({label(C, f)})x({label(D, g)})" if not (C.is_identity(f) and D.is_identity(g))
+        else f"id_{obj[(C.src[f], D.src[g])]}"
+        for f in C.morphisms for g in D.morphisms
+    }
+    src = {name: obj[(C.src[f], D.src[g])] for (f, g), name in mor.items()}
+    tgt = {name: obj[(C.tgt[f], D.tgt[g])] for (f, g), name in mor.items()}
+    comp = {
+        (mor[(g1, g2)], mor[(f1, f2)]): mor[(C.comp[(g1, f1)], D.comp[(g2, f2)])]
+        for (g1, f1) in C.comp for (g2, f2) in D.comp
+    }
+    identities = {obj[(a, b)]: mor[(C.identities[a], D.identities[b])] for a, b in obj}
+    ids = set(identities.values())
+    morphisms = sorted(ids) + sorted(set(mor.values()) - ids)
+    return FiniteCategory(sorted(obj.values()), morphisms, src, tgt, comp, identities)
+
+
+@settings(max_examples=30)
+@given(small_categories(), small_categories(), st.integers(1, 3))
+@example(one_object_groupoid(cyclic_group(2)), chain_category(1), 3)
+@example(one_object_groupoid(cyclic_group(3)), one_object_groupoid(cyclic_group(2)), 2)
+def test_the_nerve_preserves_products(C, D, depth):
+    # identity coordinates are degenerate edges, (f, id) is the pair (f, s0 a); the
+    # groupoid examples add degenerate faces, where f after its inverse is an identity
+    N = nerve(product_category(C, D), depth)
+    P = truncate(product(nerve(C, depth), nerve(D, depth)), depth)
+    iso = find_isomorphism(N, P)
+    assert iso is not None
+    assert N.truncated == P.truncated
+    # the comparison map keeps the names of vertices and edges
+    assert all(iso.assign[g].gen == g for level in N.gens[:2] for g in level)
