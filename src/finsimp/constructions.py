@@ -253,27 +253,13 @@ def product_parts(S, T):
     if bound > MAX_DIM:
         raise DimensionError(f"product bound {bound} exceeds the supported maximum {MAX_DIM}")
     pairs, names, faces, gens_by_dim = {}, {}, {}, []
-    levels = []  # both factors' numbered levels, per level
-
-    def normal(key):
-        """Normal form of the pair of (n-1)-simplices with ids divmod(key, width), kept in memo.
-
-        The shared letters over the generators at the same places in the blocks of the stripped words.
-        """
-        (y1, y2), (L1, L2) = divmod(key, width), levels[n - 1]
-        word, w1, w2 = _split(L1.refs[y1].word, L2.refs[y2].word)
-        C1, C2 = levels[n - 1 - len(word)]
-        core1 = C1.refs[C1.blocks[w1].start + y1 - L1.blocks[L1.refs[y1].word].start]
-        core2 = C2.refs[C2.blocks[w2].start + y2 - L2.blocks[L2.refs[y2].word].start]
-        out = memo[key] = SimplexRef(word, names[(core1, core2)], n - 1)
-        return out
-
+    placeholder = ProductParts(None, pairs, names)
     for n in range(bound + 1):
-        level, memo = [], {}
+        level, memo = [], {}  # memo: normal form per face id pair y1 * width + y2
         L1, L2 = numbered_level(S, n), numbered_level(T, n)
         labels1, labels2 = list(map(_ref_label, L1.refs)), list(map(_ref_label, L2.refs))
         if n:  # the faces are pairs one level down, named already
-            width = len(levels[-1][1].refs)
+            width = len(low2)
             rows1 = [[y * width for y in row] for row in zip(*L1.faces)]
             rows2 = list(zip(*L2.faces))
         for word, run in L1.blocks.items():
@@ -286,9 +272,15 @@ def product_parts(S, T):
                     names[pair] = name
                     level.append(name)
                     if n:
-                        faces[name] = tuple([memo.get(k) or normal(k) for k in map(add, rows1[z1], rows2[z2])])
+                        faces[name] = tuple(
+                            [
+                                memo.get(k)
+                                or memo.setdefault(k, _product_ref(placeholder, low1[k // width], low2[k % width]))
+                                for k in map(add, rows1[z1], rows2[z2])
+                            ]
+                        )
         gens_by_dim.append(level)
-        levels.append((L1, L2))
+        low1, low2 = L1.refs, L2.refs
     sset = SimplicialSet(gens_by_dim, faces, truncated=S.truncated or T.truncated)
     return ProductParts(sset, pairs, names)
 
