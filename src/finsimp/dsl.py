@@ -278,9 +278,7 @@ class _Parser:
         """Validate a block's entity; store it if the block reported nothing.
 
         Problems are prefixed `in KIND NAME: `, and a groupoid is its
-        category upgraded by inverse search.  An sset block passes
-        `start=None`: its set is stored even when invalid, so that later
-        blocks can still name it.
+        category upgraded by inverse search.
         """
         for msg in VALIDATORS[kind](value):
             self._fail(line, f"in {kind} {name}: {msg}")
@@ -288,7 +286,7 @@ class _Parser:
             value = as_groupoid(value)
             if value is None:
                 self._fail(line, f"in groupoid {name}: some morphism has no inverse")
-        if start is None or len(self.diags) == start:
+        if len(self.diags) == start:
             self.doc.entities[name] = (kind, value)
             if meta is not None:
                 self.doc.meta[name] = meta
@@ -378,6 +376,7 @@ class _Parser:
     # -- sset blocks ------------------------------------------------------
 
     def _sset_block(self, name, line, statements):
+        start = len(self.diags)
         bound = None
         truncated = False
         gen_dim = {}
@@ -460,7 +459,7 @@ class _Parser:
             g: tuple(faces[(g, k)] for k in range(n + 1)) for g, n in gen_dim.items() if n >= 1
         }
         S = SimplicialSet(gens_by_dim, face_table, truncated=truncated)
-        self._finish("sset", name, line, S, None)
+        self._finish("sset", name, line, S, start)
 
     # -- category / groupoid blocks --------------------------------------
 

@@ -118,12 +118,7 @@ def _unfilled(K, n, skip, fails, fixed=None):
     get = face_id_index(K, n, positions).get
     search = MapSearch(shape, K, fixed, _plans=partial(_scan_plan, n, skip))
     _, tops = search.join()
-    if search.by_id:
-        cols = tops[::-1]
-    else:
-        ids = numbered_level(K, n - 1).ids()
-        cols = [list(map(ids.__getitem__, c)) for c in reversed(tops)]
-    found = [(i, out) for i, k in enumerate(zip(*cols)) if (out := fails(k, get(k, ()))) is not None]
+    found = [(i, out) for i, k in enumerate(zip(*tops[::-1])) if (out := fails(k, get(k, ()))) is not None]
     return search.first(tops, found)
 
 

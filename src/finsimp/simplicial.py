@@ -18,12 +18,14 @@ Each level has one representation, numbered_level: its n-simplices
 listed block by block, one block per degeneracy word in word order
 with the generators by name (ref_key order; simplices(S, n) is that
 list), and every face and degeneracy operator as an array of ids.
-Scans that read a whole level run on these numbers, so the face
-tables (face_id_index) and the map search without pins
-(MapSearch.by_id) index lists instead of rewriting words; face
-rewrites single simplices and keeps no memo.  Simplices are made only
-at the boundary: rows handed back, witnesses, and face_index, the
-view of a table in simplices.
+Scans that read a whole level run on these numbers, and so does every
+map search (MapSearch), pinned, constrained or neither: its pins and
+values, the face tables (face_id_index) and the pinned-cell lookup
+(face_lookup) are ids, so they index lists instead of rewriting
+words; face rewrites single simplices and keeps no memo.  Simplices
+are made only at the boundary: pins taken in, the candidates a
+search's `constrain` is asked about, rows handed back, witnesses, and
+face_index, the view of a table in simplices.
 
 The `truncated` flag marks sets that are honest windows onto a larger
 object (e.g. a nerve cut below its longest chain).  Constructions that
@@ -304,18 +306,30 @@ def numbered_level(S, n):
     return out
 
 
-def _column(S, n, word, degens=()):
-    """The id of s_degens d_word z for every id z of level n: face and degeneracy arrays composed."""
-    col = range(len(simplices(S, n)))
+def _column(S, n, word, degens=(), ids=None):
+    """The id of s_degens d_word z for every id z of level n, or for each z in `ids`: arrays composed."""
+    col = ids
     for k in word:
         a = numbered_level(S, n).faces[k]
-        col = a if type(col) is range else list(map(a.__getitem__, col))
+        col = a if col is None else list(map(a.__getitem__, col))
         n -= 1
     for k in reversed(degens):
         n += 1
         a = numbered_level(S, n).degens[k]
-        col = a if type(col) is range else list(map(a.__getitem__, col))
-    return col
+        col = a if col is None else list(map(a.__getitem__, col))
+    return range(len(simplices(S, n))) if col is None else col
+
+
+def _filed(cols, zs):
+    """The ids `zs` by their entries in the columns `cols` (aligned with zs): key tuple -> ids, in order."""
+    table = {}
+    for z, part in zip(zs, zip(*cols) if cols else itertools.repeat(())):
+        hit = table.get(part)
+        if hit is None:
+            table[part] = [z]  # a list of one: setdefault's [] grows room for four
+        else:
+            hit.append(z)
+    return table
 
 
 def face_id_index(S, n, positions):
@@ -329,18 +343,9 @@ def face_id_index(S, n, positions):
     memo = S._index_memo
     key = (n, positions)
     hit = memo.get(key)
-    if hit is not None:
-        return hit
-    cols = [_column(S, n, w) for w in positions]
-    table = {}
-    for z, part in enumerate(zip(*cols) if cols else itertools.repeat((), len(simplices(S, n)))):
-        zs = table.get(part)
-        if zs is None:
-            table[part] = [z]  # a list of one: setdefault's [] grows room for four
-        else:
-            zs.append(z)
-    memo[key] = table
-    return table
+    if hit is None:
+        hit = memo[key] = _filed([_column(S, n, w) for w in positions], range(len(simplices(S, n))))
+    return hit
 
 
 def face_index(S, n, positions=None):
@@ -370,29 +375,31 @@ def face_index(S, n, positions=None):
 
 
 def face_lookup(S, n, positions, key):
-    """The n-simplices z with d_w z = key part for each position w, as a list.
+    """The ids z of the n-simplices with d_w z = key part for each position w, ascending.
 
-    Equal, in order, to face_index(S, n, positions=positions).get(key, []),
-    but derived from the generators (Eilenberg-Zilber: every simplex is
-    s_I y for one generator y and one degeneracy word I), so no table
-    of all n-simplices is built; for keys asked once, such as a pin's.
-    Each position w pulls back to d_w s_I = s_I' d_w' (_lookup_plan):
-    s_I y has key part x there exactly when x = s_I' u, i.e. I' lies in
-    x's word, with u = d_I' x equal to d_w' y.  The y are looked up by
-    their faces d_w' in an index of the dimension-m generators,
-    memoised per (m, w' tuple) on S.
+    The key parts are ids too.  Equal to face_id_index(S, n,
+    positions).get(key, []), but derived from the generators
+    (Eilenberg-Zilber: every simplex is s_I y for one generator y and
+    one degeneracy word I), so no table of all n-simplices is built;
+    for keys asked once, such as a pin's.  Each position w pulls back
+    to d_w s_I = s_I' d_w' (_lookup_plan): s_I y has key part x there
+    exactly when x = s_I' u, i.e. I' lies in x's word, with u = d_I' x
+    equal to d_w' y.  The y are looked up by the ids of their faces
+    d_w' in an index of the dimension-m generators, memoised per
+    (m, w' tuple) on S; s_I y is the id of y's place in the block of I.
     """
     memo = S._gen_index_memo
-    words = [set(x.word) for x in key]
+    levels = [n - len(w) for w in positions]
+    words = [set(simplices(S, d)[x].word) for d, x in zip(levels, key)]
     out = []
     for word, m, parts, outer, slots in _lookup_plan(n, positions):
         if m > S.bound or not S.gens[m]:
             continue
         faces = [None] * len(outer)
-        for (inner, _), s, x, x_word in zip(parts, slots, key, words):
+        for (inner, _), s, d, x, x_word in zip(parts, slots, levels, key, words):
             if not x_word.issuperset(inner):
                 break
-            u = _face_word(S, inner, x)
+            u = _column(S, d, inner, ids=(x,))[0]
             if faces[s] is None:
                 faces[s] = u
             elif faces[s] != u:
@@ -401,7 +408,8 @@ def face_lookup(S, n, positions, key):
             index = memo.get((m, outer))
             if index is None:
                 index = memo[(m, outer)] = _generator_index(S, m, outer)
-            out.extend(SimplexRef(word, g, n) for g in index.get(tuple(faces), ()))
+            start = numbered_level(S, n).blocks[word].start
+            out += [start + p for p in index.get(tuple(faces), ())]
     return out
 
 
@@ -430,12 +438,13 @@ def _lookup_plan(n, positions):
 
 
 def _generator_index(S, m, outer):
-    """The dimension-m generators of S by their faces d_w, w in `outer`, names sorted."""
-    table = {}
-    for g in sorted(S.gens[m]):
-        y = SimplexRef((), g, m)
-        table.setdefault(tuple([_face_word(S, w, y) for w in outer]), []).append(g)
-    return table
+    """The dimension-m generators of S by the ids of their faces d_w, w in `outer`.
+
+    A generator is given by its place in level m's block of the empty
+    word, which comes first, so the place is its id.
+    """
+    gens = numbered_level(S, m).blocks[()]
+    return _filed([_column(S, m, w, ids=gens) for w in outer], gens)
 
 
 def _face_word(S, word, z):
@@ -908,16 +917,14 @@ class MapSearch:
     it.  The pins are first extended to the faces of pinned generators:
     when they disagree, or one fails `constrain`, there are no maps.
 
-    With no pins and no `constrain` (`by_id`: every horn and sphere
-    scan, horn_maps), unless dead pins leave no maps, every cell reads
-    a full table, so the search runs on the ids of numbered_level:
-    values are ints, ties and checks read faces from id arrays, and the
-    tables are face_id_index's.  Otherwise it runs on simplices and
-    reads face_index.  `rows` gives the maps'
-    value rows in the search's own terms and `as_refs` turns one into
-    simplices; rows sort like map_key either way.  `_plans`, internal,
-    gives the search plan for the frozenset of pinned names, for scans
-    that build one plan per shape (default: _search_plan of A).
+    Every search runs on the ids of numbered_level: pins and values are
+    ints, ties and checks read faces from id arrays (_column), and the
+    tables are face_id_index's and face_lookup's.  Only `constrain`
+    sees simplices, those of the candidates.  `rows` gives the maps'
+    value rows in ids and `as_refs` turns one into simplices; rows
+    sort like map_key.  `_plans`, internal, gives the search plan for
+    the frozenset of pinned names, for scans that build one plan per
+    shape (default: _search_plan of A).
     """
 
     def __init__(self, A, B, fixed=None, constrain=None, *, _plans=None):
@@ -935,50 +942,43 @@ class MapSearch:
         self.live = pins is not None
         plan = (_plans or partial(_search_plan, A))(frozenset(pins or ()))
         names, self.steps, self.slots, self.program, self.out = plan
-        self.pins = [pins[g] for g in names] if self.live else []
-        self.by_id = self.live and not self.pins and constrain is None
-        if self.by_id:
-            # the program's (register, face) steps become (register, id array) steps
-            dims = [self.steps[s][0] for s in self.slots]
-            self._program = []
-            for r, k in self.program:
-                self._program.append((r, numbered_level(B, dims[r]).faces[k]))
-                dims.append(dims[r] - 1)
-            self._levels = [simplices(B, A.gen_dim[g]) for g in self.flat]
+        self.pins = [numbered_level(B, A.gen_dim[g]).ids()[pins[g]] for g in names]
+        # the level of each slot's value: the pins', then the cells' in search order
+        self._dims = [A.gen_dim[g] for g in names] + [step[0] for step in self.steps]
+        # the program's (register, face) steps become (register, id array) steps
+        dims = self._dims[:len(names)] + [self._dims[s] for s in self.slots]
+        self._program = []
+        for r, k in self.program:
+            self._program.append((r, numbered_level(B, dims[r]).faces[k]))
+            dims.append(dims[r] - 1)
+        self._levels = [simplices(B, A.gen_dim[g]) for g in self.flat]
 
     def _lookups(self):
         """Per step its table, its ties as (slot, reader), and the filter of its candidates or None.
 
-        A reader takes the slot's value to the tie's key part: by id it
-        indexes a composed column of face arrays (_column).  On
-        simplices, ties to pins have one key per search, so those
-        candidates are looked up once and filed by the rest; a step
-        without them uses face_index.
+        A reader takes the slot's value to the tie's key part by a
+        composed column of face arrays (_column).  Ties to pins have one
+        key per search, so those candidates are looked up once
+        (face_lookup) and filed by the rest; a step without them uses
+        face_id_index.
         """
         B, constrain, base = self.target, self.constrain, len(self.pins)
         lookups = []
         for n, positions, ties, checks, new in self.steps:
-            if self.by_id:
-                cols = [(_column(B, n, w), _column(B, n, w0, word)) for w, w0, word in checks]
-                lookups.append((
-                    face_id_index(B, n, positions),
-                    [(s, _column(B, self.steps[s][0], w, word).__getitem__) for s, w, word in ties],
-                    partial(_fits_ids, cols) if cols else None,
-                ))
-                continue
-            new = new if constrain is not None else ()
-            fits = partial(_fits_refs, B, constrain, checks, new) if checks or new else None
-            readers = [(s, partial(_tie_value, B, w, word)) for s, w, word in ties if s >= base]
+            cols = [(_column(B, n, w), _column(B, n, w0, word)) for w, w0, word in checks]
+            new = [(g, _column(B, n, w), simplices(B, n - len(w))) for g, w in new] if constrain is not None else ()
+            fits = partial(_fits, cols, constrain, new) if cols or new else None
+            readers = [(s, _column(B, self._dims[s], w, word).__getitem__) for s, w, word in ties if s >= base]
             pinned = [t for t, tie in enumerate(ties) if tie[0] < base]
             if not pinned:
-                lookups.append((face_index(B, n, positions=positions), readers, fits))
+                lookups.append((face_id_index(B, n, positions), readers, fits))
                 continue
-            key = tuple([_tie_value(B, w, word, self.pins[s]) for s, w, word in (ties[t] for t in pinned)])
+            key = tuple([
+                _column(B, self._dims[s], w, word, ids=(self.pins[s],))[0] for s, w, word in (ties[t] for t in pinned)
+            ])
+            xs = face_lookup(B, n, tuple(positions[t] for t in pinned), key)
             rest = [positions[t] for t, tie in enumerate(ties) if tie[0] >= base]
-            table = {}
-            for x in face_lookup(B, n, tuple(positions[t] for t in pinned), key):
-                table.setdefault(tuple([_face_word(B, w, x) for w in rest]), []).append(x)
-            lookups.append((table, readers, fits))
+            lookups.append((_filed([_column(B, n, w, ids=xs) for w in rest], xs), readers, fits))
         return lookups
 
     def join(self):
@@ -1015,24 +1015,19 @@ class MapSearch:
     def rows(self, count, tops):
         """The value rows of the `count` maps with top-cell values `tops`, one list per cell as from join.
 
-        A row holds a map's values on A's generators in declaration
-        order: ids when by_id, else simplices.  The program runs column
-        by column.  Rows sort like map_key: position p holds values of
-        one dimension, and ids follow simplices(B, n), which is sorted
-        by ref_key.
+        A row holds the ids of a map's values on A's generators in
+        declaration order.  The program runs column by column.  Rows
+        sort like map_key: position p holds values of one dimension,
+        and ids follow simplices(B, n), which is sorted by ref_key.
         """
         regs = [*([x] * count for x in self.pins), *tops]
-        if self.by_id:
-            for src, a in self._program:
-                regs.append(list(map(a.__getitem__, regs[src])))
-        else:
-            for src, k in self.program:
-                regs.append(list(map(partial(face, self.target, k), regs[src])))
+        for src, a in self._program:
+            regs.append(list(map(a.__getitem__, regs[src])))
         return _transposed(count, [regs[r] for r in self.out])
 
     def as_refs(self, row):
         """A row of this search as simplices."""
-        return tuple(map(getitem, self._levels, row)) if self.by_id else row
+        return tuple(map(getitem, self._levels, row))
 
     def first(self, tops, found):
         """The (map, payload) of the (row number, payload) pairs in `found` whose map is listed first.
@@ -1054,21 +1049,11 @@ def _transposed(count, cols):
     return zip(*cols) if cols else iter([()] * count)
 
 
-def _tie_value(B, w, word, z):
-    """s_word d_w z: a tie's key part read off the value z of its slot."""
-    for k in w:
-        z = face(B, k, z)
-    return word_apply(word, z) if word else z
-
-
-def _fits_ids(checks, x):
-    return all(left[x] == right[x] for left, right in checks)
-
-
-def _fits_refs(B, constrain, checks, new, x):
-    return all(
-        _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
-    ) and all(constrain(g, _face_word(B, w, x)) for g, w in new)
+def _fits(checks, constrain, new, x):
+    """Whether candidate x agrees with itself at the `checks` and its generators `new` pass constrain."""
+    return all(left[x] == right[x] for left, right in checks) and all(
+        constrain(g, refs[col[x]]) for g, col, refs in new
+    )
 
 
 def map_rows(A, B, fixed=None, limit=None, constrain=None):

@@ -15,11 +15,10 @@ from finsimp.simplicial import (
     SimplicialMap,
     _column,
     _face_word,
-    face,
     face_id_index,
     face_index,
-    face_lookup,
     map_key,
+    simplices,
     word_apply,
 )
 
@@ -163,63 +162,32 @@ def reference_maps(A, B, fixed=None, limit=None, constrain=None):
 
 
 def _id_readers(search, xs):
-    """Per step its face_id_index table, ties as (slot, _column) and checks; the key and check readers."""
-    B, steps = search.target, search.steps
-    lookups = [
-        (
+    """Per step its face_id_index table, ties as (slot, _column), checks and constrained generators; the readers.
+
+    A pin is a slot like a cell's, of its own dimension, so a step tied
+    to a pin reads the full table too and the loop checks face_lookup.
+    `constrain` gets the candidate's faces as simplices, by face.
+    """
+    B, constrain = search.target, search.constrain
+    lookups = []
+    for n, positions, ties, checks, new in search.steps:
+        # d_p cell = s_word d_w (slot value), so the slot's level is n - len(p) + len(w) - len(word)
+        readers = [(s, _column(B, n - len(p) + len(w) - len(word), w, word)) for p, (s, w, word) in zip(positions, ties)]
+        lookups.append((
             face_id_index(B, n, positions),
-            [(s, _column(B, steps[s][0], w, word)) for s, w, word in ties],
+            readers,
             [(_column(B, n, w), _column(B, n, w0, word)) for w, w0, word in checks],
-            (),
-        )
-        for n, positions, ties, checks, _ in steps
-    ]
+            [(g, w, simplices(B, n)) for g, w in new] if constrain is not None else (),
+        ))
 
     def key(ties):
         return tuple([col[xs[s]] for s, col in ties])
 
-    def fits(x, checks, _):
-        return all(left[x] == right[x] for left, right in checks)
-
-    return key, fits, lookups
-
-
-def _ref_readers(search, xs):
-    """Per step its table, ties, checks and constrained generators; the key and check readers.
-
-    Ties to pins have one key per search, so those candidates are
-    looked up once and filed by the rest; a step without them uses
-    face_index.
-    """
-    B, constrain, base = search.target, search.constrain, len(xs)
-
-    def key(ties):
-        out = []
-        for s, w, word in ties:
-            z = xs[s]
-            for k in w:
-                z = face(B, k, z)
-            out.append(word_apply(word, z) if word else z)
-        return tuple(out)
-
     def fits(x, checks, new):
-        return all(
-            _face_word(B, w, x) == word_apply(word, _face_word(B, w0, x)) for w, w0, word in checks
-        ) and all(constrain(g, _face_word(B, w, x)) for g, w in new)
+        return all(left[x] == right[x] for left, right in checks) and all(
+            constrain(g, _face_word(B, w, refs[x])) for g, w, refs in new
+        )
 
-    lookups = []
-    for n, positions, ties, checks, new in search.steps:
-        new = new if constrain is not None else ()
-        pinned = [t for t, tie in enumerate(ties) if tie[0] < base]
-        if not pinned:
-            lookups.append((face_index(B, n, positions=positions), ties, checks, new))
-            continue
-        pool = face_lookup(B, n, tuple(positions[t] for t in pinned), key([ties[t] for t in pinned]))
-        rest = [t for t, tie in enumerate(ties) if tie[0] >= base]
-        table = {}
-        for x in pool:
-            table.setdefault(tuple([_face_word(B, positions[t], x) for t in rest]), []).append(x)
-        lookups.append((table, [ties[t] for t in rest], checks, new))
     return key, fits, lookups
 
 
@@ -239,7 +207,7 @@ def dfs_tops(search, nodes=None):
         return
     xs = list(search.pins)
     base = len(xs)
-    key, fits, lookups = (_id_readers if search.by_id else _ref_readers)(search, xs)
+    key, fits, lookups = _id_readers(search, xs)
 
     def candidates():
         table, ties, checks, new = lookups[len(xs) - base]

@@ -205,6 +205,19 @@ def test_duplicate_entity_names():
     assert any("duplicate entity" in msg for _, msg in diags)
 
 
+def test_a_failed_sset_block_stores_nothing():
+    # as for every other block: a later block of the same name is no duplicate
+    bad_faces = (
+        "sset T { gen 0 a b; gen 1 x; gen 2 t; face x 0 -> [] b; face x 1 -> [] a; "
+        "face t 0 -> [] x; face t 1 -> [] x; face t 2 -> [] x; }\n"
+    )
+    bad_statement = "sset T { gen 0 a; obj b; }\n"
+    for first in (bad_faces, bad_statement):
+        diags = diagnostics_of(first + "sset T { gen 0 a; }\n")
+        assert diags and all(line == 1 for line, _ in diags)
+        assert not any("duplicate entity" in msg for _, msg in diags)
+
+
 def test_unknown_map_endpoint():
     text = POINT + "map f: pt -> nowhere { v -> [] v; }\n"
     diags = diagnostics_of(text)

@@ -11,10 +11,10 @@ from finsimp.categories import (
     nerve,
     poset_category,
 )
-from finsimp.constructions import join_parts, product
+from finsimp.constructions import join_parts, product, slice_over
 from finsimp.dsl import parse_document
 from finsimp.groups import cyclic_group, one_object_groupoid
-from finsimp.lifting import is_kan, is_quasicategory, matching_simplices
+from finsimp.lifting import LiftingProblem, is_kan, is_quasicategory, matching_simplices, solve_lift
 from finsimp.limits import colimit, is_final, is_initial, limit, mapping_space, pi0
 from finsimp.simplicial import (
     EMPTY,
@@ -27,6 +27,7 @@ from finsimp.simplicial import (
     discrete_simplicial_set,
     enumerate_maps,
     from_level_data,
+    horn,
     identity_map,
     simplex_boundary,
     standard_simplex,
@@ -273,6 +274,37 @@ def test_limit_files_no_full_face_index_for_pinned_cells():
                 pinned.add((dim, positions))
     assert pinned
     assert not pinned & set(N._index_memo)
+
+
+def assert_ids_only(S):
+    assert not S._ref_index_memo
+    assert S._gen_index_memo
+    for memo in (S._index_memo, S._gen_index_memo):
+        for table in memo.values():
+            assert all(type(x) is int for key, zs in table.items() for x in (*key, *zs))
+
+
+def test_pinned_and_constrained_searches_build_no_tables_of_simplices():
+    # every search runs on ids: its tables hold ints, and no face_index view is filed
+    for run in (lambda N: limit(pair_diagram(N, "4", "6"), 2), lambda N: colimit(pair_diagram(N, "4", "6"), 2)):
+        N = divisor_nerve()
+        assert run(N)
+        assert_ids_only(N)
+    N = divisor_nerve()
+    # 12 is terminal, so the slice over it is the whole nerve again
+    assert slice_over(SimplicialMap(standard_simplex(0), N, {"0": N.generator("12")}), 2).size_vector() == (6, 12, 10)
+    assert_ids_only(N)
+    N = divisor_nerve()
+    assert mapping_space(N, "2", "12", 2).size_vector() == (1, 0, 0)
+    assert_ids_only(N)
+    # pinned on the horn, constrained to lie over the square's bottom: the lift is the bottom
+    N = divisor_nerve()
+    faces = tuple(N.generator(e) for e in ("le_4_12", "le_2_12", "le_2_4"))
+    chain = next(t for t in N.gens[2] if N.face_table[t] == faces)
+    sigma = enumerate_maps(standard_simplex(2), N, fixed={"012": N.generator(chain)})[0]
+    incl = horn(2, 1)[1]
+    assert solve_lift(LiftingProblem(incl, identity_map(N), compose(sigma, incl), sigma)) == sigma
+    assert_ids_only(N)
 
 
 def test_limit_of_empty_diagram_is_terminal_vertex():

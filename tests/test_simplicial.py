@@ -352,7 +352,7 @@ def test_face_lookup_matches_the_face_index_on_nerves_and_a_slice(corpus):
         for n in range(4):
             words = face_words(n)
             for positions in [*((w,) for w in words), *itertools.combinations(words, 2)]:
-                for key, zs in face_index(S, n, positions=positions).items():
+                for key, zs in face_id_index(S, n, positions).items():
                     assert face_lookup(S, n, positions, key) == zs
 
 
@@ -360,8 +360,8 @@ def test_face_lookup_matches_the_face_index_on_nerves_and_a_slice(corpus):
 def test_face_lookup_matches_the_face_index(S, data):
     n = data.draw(st.integers(0, 3))
     positions = tuple(data.draw(st.lists(st.sampled_from(face_words(n)), min_size=1, max_size=3)))
-    table = face_index(S, n, positions=positions)
-    parts = [st.sampled_from(simplices(S, n - len(w))) for w in positions]
+    table = face_id_index(S, n, positions)
+    parts = [st.sampled_from(range(len(simplices(S, n - len(w))))) for w in positions]
     mixed = data.draw(st.lists(st.tuples(*parts), max_size=6))
     for key in [*table, *mixed]:
         assert face_lookup(S, n, positions, key) == table.get(key, [])
@@ -408,7 +408,6 @@ def test_face_index_is_the_view_of_the_id_table(corpus):
 @given(small_simplicial_sets(), small_simplicial_sets())
 def test_id_rows_sort_like_their_ref_rows(A, B):
     search = MapSearch(A, B)
-    assert search.by_id
     rows = list(search.rows(*search.join()))
     assert all(isinstance(x, int) for row in rows for x in row)
     refs = [search.as_refs(row) for row in rows]
@@ -655,7 +654,7 @@ def test_map_search_without_steps_or_with_dead_pins_matches_the_depth_first_loop
         (horn(3, 1)[0], {"fixed": {"0": S.generator("1"), "01": edge}}),
     ]:
         search = MapSearch(A, S, **kwargs)
-        assert not search.live and not search.by_id
+        assert not search.live
         assert list(search) == []
         assert_join_matches_the_depth_first_loop(search)
         assert map_rows(A, S, **kwargs) == []

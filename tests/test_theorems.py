@@ -14,15 +14,28 @@ nerve N(C), so it must hold on every draw:
 - in a poset, the limit and the colimit of two points are their meet
   and their join, and there is no apex when these do not exist;
 - the nerve preserves products: N(C x D) is N(C) x N(D) (Lurie,
-  *Kerodon*, on the nerve of a category).
+  *Kerodon*, on the nerve of a category);
+- a nerve is 2-coskeletal: every n-sphere in it, n >= 3, has exactly
+  one filler (Kerodon, on the nerve of a category);
+- the nerve takes joins of categories to joins: N(C * D) is
+  N(C) * N(D) (Joyal, *Quasi-categories and Kan complexes*, 2002).
 """
 
 from hypothesis import example, given, settings, strategies as st
 
-from finsimp.categories import FiniteCategory, categories_isomorphic, chain_category, is_groupoid, nerve, nerve_detect
-from finsimp.constructions import product
-from finsimp.groups import cyclic_group, one_object_groupoid
-from finsimp.lifting import has_unique_inner_fillers, is_kan, is_quasicategory
+from finsimp.categories import (
+    FiniteCategory,
+    categories_isomorphic,
+    chain_category,
+    is_groupoid,
+    join_categories,
+    nerve,
+    nerve_detect,
+    poset_category,
+)
+from finsimp.constructions import join, product
+from finsimp.groups import cyclic_group, one_object_groupoid, symmetric_group
+from finsimp.lifting import _unfilled, has_unique_inner_fillers, is_kan, is_quasicategory
 from finsimp.limits import colimit, is_final, is_initial, limit, mapping_space
 from finsimp.simplicial import SimplicialMap, discrete_simplicial_set, find_isomorphism, truncate
 from strategies import small_categories, small_posets
@@ -138,3 +151,33 @@ def test_the_nerve_preserves_products(C, D, depth):
     assert N.truncated == P.truncated
     # the comparison map keeps the names of vertices and edges
     assert all(iso.assign[g].gen == g for level in N.gens[:2] for g in level)
+
+
+def not_one_filler(_, fillers):
+    return None if len(fillers) == 1 else len(fillers)
+
+
+@settings(max_examples=30)
+@given(small_categories())
+@example(chain_category(4))
+@example(one_object_groupoid(symmetric_group(3)))
+@example(poset_category(["1", "2", "3", "6"], lambda a, b: int(b) % int(a) == 0))
+def test_nerves_are_2_coskeletal(C):
+    # unpinned, and with the last vertex pinned to each vertex, as the finality scans pin it
+    N = nerve(C, 4)
+    for n in (3, 4):
+        assert _unfilled(N, n, None, not_one_filler) is None
+        for v in N.gens[0]:
+            assert _unfilled(N, n, None, not_one_filler, {str(n): N.generator(v)}) is None
+
+
+@settings(max_examples=30)
+@given(small_categories(), small_categories())
+@example(chain_category(1), chain_category(2))
+@example(one_object_groupoid(cyclic_group(2)), chain_category(1))
+@example(chain_category(0), one_object_groupoid(cyclic_group(3)))
+def test_the_nerve_preserves_joins(C, D):
+    # truncated at 3 on both sides: the join of two windows is not compared past its bound
+    N = nerve(join_categories(C, D), 3)
+    J = truncate(join(nerve(C, 3), nerve(D, 3)), 3)
+    assert find_isomorphism(N, J) is not None
