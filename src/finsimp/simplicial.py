@@ -941,15 +941,15 @@ class MapSearch:
             pins = None
         self.live = pins is not None
         plan = (_plans or partial(_search_plan, A))(frozenset(pins or ()))
-        names, self.steps, self.slots, self.program, self.out = plan
+        names, self.steps, self.slots, program, self.out = plan
         self.pins = [numbered_level(B, A.gen_dim[g]).ids()[pins[g]] for g in names]
         # the level of each slot's value: the pins', then the cells' in search order
         self._dims = [A.gen_dim[g] for g in names] + [step[0] for step in self.steps]
-        # the program's (register, face) steps become (register, id array) steps
+        # the plan's (register, face) steps become (register, id array) steps
         dims = self._dims[:len(names)] + [self._dims[s] for s in self.slots]
-        self._program = []
-        for r, k in self.program:
-            self._program.append((r, numbered_level(B, dims[r]).faces[k]))
+        self.program = []
+        for r, k in program:
+            self.program.append((r, numbered_level(B, dims[r]).faces[k]))
             dims.append(dims[r] - 1)
         self._levels = [simplices(B, A.gen_dim[g]) for g in self.flat]
 
@@ -1021,7 +1021,7 @@ class MapSearch:
         and ids follow simplices(B, n), which is sorted by ref_key.
         """
         regs = [*([x] * count for x in self.pins), *tops]
-        for src, a in self._program:
+        for src, a in self.program:
             regs.append(list(map(a.__getitem__, regs[src])))
         return _transposed(count, [regs[r] for r in self.out])
 
