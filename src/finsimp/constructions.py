@@ -44,7 +44,6 @@ from .simplicial import (
     TruncationError,
     codegeneracy_map,
     coface_map,
-    face,
     from_level_data,
     identity_map,
     map_rows,
@@ -68,8 +67,8 @@ class JoinParts(NamedTuple):
     mixed: dict
 
 
-def _mixed_ref(parts, r1, r2):
-    """Normal form of the mixed simplex with coordinates r1 (left), r2 (right).
+def _mixed_ref(mixed, r1, r2):
+    """Normal form of the mixed simplex with coordinates r1 (left), r2 (right); `mixed` names the pairs.
 
     The left word survives unchanged; the right word shifts past the
     left coordinate (its letters move up by dim(r1) + 1).  The ranges
@@ -77,7 +76,7 @@ def _mixed_ref(parts, r1, r2):
     """
     shifted = set(r1.word) | {r1.dim + 1 + t for t in r2.word}
     word = tuple(sorted(shifted, reverse=True))
-    gen = parts.mixed[(r1.gen, r2.gen)]
+    gen = mixed[(r1.gen, r2.gen)]
     return SimplexRef(word, gen, r1.dim + r2.dim + 1)
 
 
@@ -123,28 +122,19 @@ def join_parts(S, T):
                     level.append(mixed[(x, y)])
         gens_by_dim.append(level)
 
-    placeholder = JoinParts(None, left, right, mixed)
     faces = {}
     for g, refs in S.face_table.items():
         faces[left[g]] = tuple(SimplexRef(r.word, left[r.gen], r.dim) for r in refs)
     for g, refs in T.face_table.items():
         faces[right[g]] = tuple(SimplexRef(r.word, right[r.gen], r.dim) for r in refs)
     for (x, y), name in mixed.items():
+        # d_0..d_a act on the left coordinate, the rest on the right; deleting a vertex leaves the other side
         a = S.gen_dim[x]
         b = T.gen_dim[y]
         xr = SimplexRef((), x, a)
         yr = SimplexRef((), y, b)
-        refs = []
-        for k in range(a + 1):
-            if a == 0:
-                refs.append(SimplexRef((), right[y], b))
-            else:
-                refs.append(_mixed_ref(placeholder, face(S, k, xr), yr))
-        for k in range(b + 1):
-            if b == 0:
-                refs.append(SimplexRef((), left[x], a))
-            else:
-                refs.append(_mixed_ref(placeholder, xr, face(T, k, yr)))
+        refs = [_mixed_ref(mixed, r, yr) for r in S.face_table[x]] if a else [SimplexRef((), right[y], b)]
+        refs += [_mixed_ref(mixed, xr, r) for r in T.face_table[y]] if b else [SimplexRef((), left[x], a)]
         faces[name] = tuple(refs)
 
     sset = SimplicialSet(gens_by_dim, faces, truncated=S.truncated or T.truncated)
@@ -168,7 +158,7 @@ def join_of_maps(f, g):
         r = g.assign[y]
         assign[name] = SimplexRef(r.word, tgt.right[r.gen], r.dim)
     for (x, y), name in src.mixed.items():
-        assign[name] = _mixed_ref(tgt, f.assign[x], g.assign[y])
+        assign[name] = _mixed_ref(tgt.mixed, f.assign[x], g.assign[y])
     return SimplicialMap(src.sset, tgt.sset, assign)
 
 

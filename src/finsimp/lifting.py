@@ -30,7 +30,6 @@ from .simplicial import (
     compose,
     enumerate_maps,
     face_id_index,
-    face_index,
     horn,
     numbered_level,
     simplex_boundary,
@@ -126,12 +125,16 @@ def matching_simplices(K, assign, n, skip=None):
     """The n-simplices of K whose faces d_k, k != skip, are the facet values of `assign`.
 
     `assign` is the generator assignment of a map out of the (n, skip)
-    horn, or out of the n-sphere when `skip` is None; the result keeps
-    the order of simplices(K, n).
+    horn, or out of the n-sphere when `skip` is None; the result is a
+    new list in the order of simplices(K, n).  The facet values are
+    looked up by their ids in face_id_index(K, n, positions), the table
+    _unfilled files for the (n, skip) scan.
     """
     shape, positions = _facets(n, skip)
-    key = tuple(assign[g] for g in reversed(shape.gens[n - 1]))
-    return face_index(K, n, positions).get(key, ())
+    ids = numbered_level(K, n - 1).ids()
+    key = tuple([ids[assign[g]] for g in reversed(shape.gens[n - 1])])
+    refs = simplices(K, n)
+    return [refs[z] for z in face_id_index(K, n, positions).get(key, ())]
 
 
 def check_depth(N, what, *sets):
@@ -152,7 +155,7 @@ def horn_maps(K, n, i):
 
 def horn_fillers(K, hm):
     """All n-simplices of K whose faces away from i match the horn map."""
-    return list(matching_simplices(K, hm.assignment.assign, hm.n, hm.i))
+    return matching_simplices(K, hm.assignment.assign, hm.n, hm.i)
 
 
 def _horn_shapes(N, inner):

@@ -18,14 +18,16 @@ Each level has one representation, numbered_level: its n-simplices
 listed block by block, one block per degeneracy word in word order
 with the generators by name (ref_key order; simplices(S, n) is that
 list), and every face and degeneracy operator as an array of ids.
-Scans that read a whole level run on these numbers, and so does every
-map search (MapSearch), pinned, constrained or neither: its pins and
-values, the face tables (face_id_index) and the pinned-cell lookup
-(face_lookup) are ids, so they index lists instead of rewriting
+Scans that read a whole level run on these numbers, and so do every
+map search (MapSearch), pinned, constrained or neither, and the
+isomorphism search: pins, values and keys are ids, and the engine's
+one face-table format is ids under int tuples, the tables of all
+n-simplices (face_id_index) and of generators (_generator_index,
+read by face_lookup), so lookups index lists instead of rewriting
 words; face rewrites single simplices and keeps no memo.  Simplices
 are made only at the boundary: pins taken in, the candidates a
 search's `constrain` is asked about, rows handed back, witnesses, and
-face_index, the view of a table in simplices.
+face_index, a table turned into simplices for callers outside.
 
 The `truncated` flag marks sets that are honest windows onto a larger
 object (e.g. a nerve cut below its longest chain).  Constructions that
@@ -138,7 +140,6 @@ class SimplicialSet:
         self._hash = None
         self._level_memo = {}
         self._index_memo = {}
-        self._ref_index_memo = {}
         self._gen_index_memo = {}
 
     def ref(self, word, gen):
@@ -349,29 +350,25 @@ def face_id_index(S, n, positions):
 
 
 def face_index(S, n, positions=None):
-    """Lookup table from partial face tuples to the n-simplices having them.
+    """Lookup table from partial face tuples to the n-simplices having them, in simplices.
 
     A position is a face word: the strictly decreasing tuple of the
     vertices an iterated face operator deletes, so (k,) is d_k, (3, 1)
     is d_1 d_3 and () the simplex itself.  A simplex z is filed under
     (d_w z for w in positions); by default every d_k, so a vertex is
     filed under ().  Each list keeps the order of simplices(S, n).  This
-    is the view of face_id_index's table in simplices, with the same
-    keys, lists and order; memoised per (n, positions) on S.
+    is face_id_index's table with its ids turned into simplices, same
+    keys, lists and order: the view for callers outside the engine,
+    which reads only the id tables.  It is built anew on every call.
     """
     if positions is None:
         positions = tuple((k,) for k in range(n + 1) if n)
-    memo = S._ref_index_memo
-    key = (n, positions)
-    hit = memo.get(key)
-    if hit is None:
-        refs = simplices(S, n)
-        parts = [simplices(S, n - len(w)) for w in positions]
-        hit = memo[key] = {
-            tuple(map(getitem, parts, part)): list(map(refs.__getitem__, zs))
-            for part, zs in face_id_index(S, n, positions).items()
-        }
-    return hit
+    refs = simplices(S, n)
+    parts = [simplices(S, n - len(w)) for w in positions]
+    return {
+        tuple(map(getitem, parts, part)): list(map(refs.__getitem__, zs))
+        for part, zs in face_id_index(S, n, positions).items()
+    }
 
 
 def face_lookup(S, n, positions, key):
@@ -385,10 +382,9 @@ def face_lookup(S, n, positions, key):
     to d_w s_I = s_I' d_w' (_lookup_plan): s_I y has key part x there
     exactly when x = s_I' u, i.e. I' lies in x's word, with u = d_I' x
     equal to d_w' y.  The y are looked up by the ids of their faces
-    d_w' in an index of the dimension-m generators, memoised per
-    (m, w' tuple) on S; s_I y is the id of y's place in the block of I.
+    d_w' in _generator_index(S, m, w' tuple); s_I y is the id of y's
+    place in the block of I.
     """
-    memo = S._gen_index_memo
     levels = [n - len(w) for w in positions]
     words = [set(simplices(S, d)[x].word) for d, x in zip(levels, key)]
     out = []
@@ -405,11 +401,8 @@ def face_lookup(S, n, positions, key):
             elif faces[s] != u:
                 break
         else:
-            index = memo.get((m, outer))
-            if index is None:
-                index = memo[(m, outer)] = _generator_index(S, m, outer)
             start = numbered_level(S, n).blocks[word].start
-            out += [start + p for p in index.get(tuple(faces), ())]
+            out += [start + p for p in _generator_index(S, m, outer).get(tuple(faces), ())]
     return out
 
 
@@ -438,13 +431,18 @@ def _lookup_plan(n, positions):
 
 
 def _generator_index(S, m, outer):
-    """The dimension-m generators of S by the ids of their faces d_w, w in `outer`.
+    """The dimension-m generators of S by the ids of their faces d_w, w in `outer`; memoised on S.
 
     A generator is given by its place in level m's block of the empty
-    word, which comes first, so the place is its id.
+    word, which comes first, so the place is its id.  The one index of
+    generators, per (m, outer): face_lookup's and find_isomorphism's.
     """
-    gens = numbered_level(S, m).blocks[()]
-    return _filed([_column(S, m, w, ids=gens) for w in outer], gens)
+    memo = S._gen_index_memo
+    hit = memo.get((m, outer))
+    if hit is None:
+        gens = numbered_level(S, m).blocks[()]
+        hit = memo[(m, outer)] = _filed([_column(S, m, w, ids=gens) for w in outer], gens)
+    return hit
 
 
 def _face_word(S, word, z):
@@ -1092,21 +1090,26 @@ def map_key(f):
 def find_isomorphism(A, B):
     """A dimension-preserving generator bijection commuting with faces, or None.
 
-    Searches level by level with face-tuple lookup; the first
-    isomorphism in lexicographic order (by A's declaration order and
-    B's sorted candidates) is returned as a SimplicialMap.
+    Searches generator by generator in A's declaration order; the
+    candidates for an n-generator g are B's n-generators, by their
+    places in level n's block of the empty word (so by name), whose
+    faces have the ids of the images of g's faces (_generator_index).
+    The first isomorphism in lexicographic order (by A's declaration
+    order and B's names) is returned as a SimplicialMap.
     """
     if A.bound != B.bound or A.size_vector() != B.size_vector():
         return None
     flat = [g for level in A.gens for g in level]
-    phi = {}
-    used = set()
+    facets = [tuple((k,) for k in range(n + 1) if n) for n in range(A.bound + 1)]
+    phi = {}  # generator of A -> place of its image among B's generators of its dimension
+    used = [set() for _ in facets]
 
     def candidates(g):
-        req = tuple(SimplexRef(r.word, phi[r.gen], r.dim) for r in A.face_table.get(g, ()))
-        matches = face_index(B, A.gen_dim[g]).get(req, ())
-        # lazy: `used` at every next() is what it was when the iterator was pushed
-        return (z.gen for z in matches if not z.word and z.gen not in used)
+        n = A.gen_dim[g]
+        key = tuple(numbered_level(B, r.dim).blocks[r.word].start + phi[r.gen] for r in A.face_table.get(g, ()))
+        taken = used[n]
+        # lazy: `taken` at every next() is what it was when the iterator was pushed
+        return (p for p in _generator_index(B, n, facets[n]).get(key, ()) if p not in taken)
 
     # depth-first over flat; stack[p] holds the untried candidates for flat[p]
     stack = []
@@ -1114,17 +1117,18 @@ def find_isomorphism(A, B):
         stack.append(candidates(flat[len(phi)]))
         while True:
             g = flat[len(stack) - 1]
+            taken = used[A.gen_dim[g]]
             if g in phi:
-                used.discard(phi.pop(g))
-            h = next(stack[-1], None)
-            if h is not None:
-                phi[g] = h
-                used.add(h)
+                taken.discard(phi.pop(g))
+            p = next(stack[-1], None)
+            if p is not None:
+                phi[g] = p
+                taken.add(p)
                 break
             stack.pop()
             if not stack:
                 return None
-    assign = {g: SimplexRef((), phi[g], A.gen_dim[g]) for g in flat}
+    assign = {g: numbered_level(B, A.gen_dim[g]).refs[phi[g]] for g in flat}
     return SimplicialMap(A, B, assign)
 
 

@@ -1,4 +1,4 @@
-"""Two map searches that enumerate_maps used before, kept as oracles.
+"""Searches that the engine used before, kept as oracles.
 
 reference_maps is the per-generator search that came before the
 top-cell search.  It assigns one generator at a time, always a ready
@@ -9,9 +9,14 @@ stops after the first `limit` maps in search order, unsorted.
 dfs_tops is the depth-first loop over a MapSearch's top cells that
 came before its columnar join: same tuples, same order as iterating
 the search, and it counts the search nodes per depth.
+
+reference_isomorphism is the search find_isomorphism ran before it
+went on ids: generator by generator, candidates looked up by face
+tuple in face_index.  Same isomorphism, or None.
 """
 
 from finsimp.simplicial import (
+    SimplexRef,
     SimplicialMap,
     _column,
     _face_word,
@@ -99,13 +104,19 @@ def reference_maps(A, B, fixed=None, limit=None, constrain=None):
     assign = {}
     # candidates of ready generators, dropped when a dependency changes
     cache = {}
+    views = {}  # face_index(B, n), built once per dimension
+
+    def view(n):
+        if n not in views:
+            views[n] = face_index(B, n)
+        return views[n]
 
     def candidates(g):
         pool = cache.get(g)
         if pool is not None:
             return pool
         req = tuple(word_apply(r.word, assign[r.gen]) for r in A.face_table.get(g, ()))
-        pool = face_index(B, A.gen_dim[g]).get(req, ())
+        pool = view(A.gen_dim[g]).get(req, ())
         if g in fixed:
             want = fixed[g]
             pool = [want] if want in pool else []
@@ -229,3 +240,43 @@ def dfs_tops(search, nodes=None):
             yield tuple([xs[s] for s in slots])
         else:
             stack.pop()
+
+
+def reference_isomorphism(A, B):
+    """A dimension-preserving generator bijection commuting with faces, or None.
+
+    Searches level by level with face-tuple lookup; the first
+    isomorphism in lexicographic order (by A's declaration order and
+    B's sorted candidates) is returned as a SimplicialMap.
+    """
+    if A.bound != B.bound or A.size_vector() != B.size_vector():
+        return None
+    flat = [g for level in A.gens for g in level]
+    views = [face_index(B, n) for n in range(A.bound + 1)]
+    phi = {}
+    used = set()
+
+    def candidates(g):
+        req = tuple(SimplexRef(r.word, phi[r.gen], r.dim) for r in A.face_table.get(g, ()))
+        matches = views[A.gen_dim[g]].get(req, ())
+        # lazy: `used` at every next() is what it was when the iterator was pushed
+        return (z.gen for z in matches if not z.word and z.gen not in used)
+
+    # depth-first over flat; stack[p] holds the untried candidates for flat[p]
+    stack = []
+    while len(phi) < len(flat):
+        stack.append(candidates(flat[len(phi)]))
+        while True:
+            g = flat[len(stack) - 1]
+            if g in phi:
+                used.discard(phi.pop(g))
+            h = next(stack[-1], None)
+            if h is not None:
+                phi[g] = h
+                used.add(h)
+                break
+            stack.pop()
+            if not stack:
+                return None
+    assign = {g: SimplexRef((), phi[g], A.gen_dim[g]) for g in flat}
+    return SimplicialMap(A, B, assign)

@@ -345,7 +345,7 @@ def test_matching_simplices_matches_the_linear_scan_on_generated_sets(K):
 def test_kan_scan_files_the_tables_of_the_map_search():
     # horn fillers are filed by facets k ascending, the tables the map search files one
     # level up, so the scan and the searches share them; keys k descending file 32 tables.
-    # Both run on ids, so the tables hold ints and no table of simplices is built
+    # Both run on ids, so the tables hold ints
     N = nerve(one_object_groupoid(symmetric_group(3)), 4)
     assert is_kan(N, 4)
     assert len(N._index_memo) == 25
@@ -353,7 +353,22 @@ def test_kan_scan_files_the_tables_of_the_map_search():
     assert all(
         type(x) is int for table in N._index_memo.values() for key, zs in table.items() for x in (*key, *zs)
     )
-    assert not N._ref_index_memo
+
+
+def test_nerve_detect_reads_the_tables_of_its_inner_horn_scan():
+    # the composite lookup reads the (2, 1) scan's table and the isomorphism check the
+    # generator index, so nerve_detect files no id table the unique-filler scan does not
+    G = one_object_groupoid(symmetric_group(3))
+    N = nerve(G, 3)
+    assert has_unique_inner_fillers(N, 3)
+    scan = set(N._index_memo)
+    N = nerve(G, 3)
+    assert nerve_detect(N, 3).category is not None
+    assert set(N._index_memo) == scan
+    assert len(scan) == 8
+    for memo in (N._index_memo, N._gen_index_memo):
+        for table in memo.values():
+            assert all(type(x) is int for key, zs in table.items() for x in (*key, *zs))
 
 
 def test_scans_and_searches_leave_no_cyclic_garbage_on_the_set():

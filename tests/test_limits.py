@@ -277,7 +277,6 @@ def test_limit_files_no_full_face_index_for_pinned_cells():
 
 
 def assert_ids_only(S):
-    assert not S._ref_index_memo
     assert S._gen_index_memo
     for memo in (S._index_memo, S._gen_index_memo):
         for table in memo.values():
@@ -285,7 +284,7 @@ def assert_ids_only(S):
 
 
 def test_pinned_and_constrained_searches_build_no_tables_of_simplices():
-    # every search runs on ids: its tables hold ints, and no face_index view is filed
+    # every search runs on ids: its tables hold ints
     for run in (lambda N: limit(pair_diagram(N, "4", "6"), 2), lambda N: colimit(pair_diagram(N, "4", "6"), 2)):
         N = divisor_nerve()
         assert run(N)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from finsimp.categories import nerve, poset_category
 from finsimp.constructions import slice_over
-from finsimp.groups import one_object_groupoid, symmetric_group
+from finsimp.groups import cyclic_group, one_object_groupoid, symmetric_group
 from finsimp.lifting import HornMap, horn_maps
 from finsimp.simplicial import (
     EMPTY,
@@ -45,7 +45,7 @@ from finsimp.simplicial import (
     validate,
     word_apply,
 )
-from reference_search import dfs_tops, reference_maps
+from reference_search import dfs_tops, reference_isomorphism, reference_maps
 from strategies import small_simplicial_sets
 
 
@@ -313,7 +313,6 @@ def test_partial_face_index_matches_linear_scan(corpus):
                 assert set(index) == keys
                 for key in keys:
                     assert index[key] == scan_for_faces(S, n, skip, key)
-                assert face_index(S, n, positions=positions) is index
 
 
 def test_face_index_by_iterated_faces_matches_linear_scan(corpus):
@@ -742,6 +741,46 @@ def test_horn_shapes_are_direction_sensitive():
     assert find_isomorphism(H0, H1) is None
     ren = rename_generators(H0, {"0": "a", "1": "b", "2": "c", "01": "ab", "02": "ac"})
     assert find_isomorphism(H0, ren) is not None
+
+
+def shuffled_names(S, rnd):
+    """A renaming of S's generators onto a random permutation of their names."""
+    names = [g for level in S.gens for g in level]
+    return rename_generators(S, dict(zip(names, rnd.sample(names, len(names)))))
+
+
+def assert_same_isomorphism(A, B):
+    got, want = find_isomorphism(A, B), reference_isomorphism(A, B)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.assign == want.assign
+        assert got.validate() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_simplicial_sets(), small_simplicial_sets(), st.randoms(use_true_random=False))
+def test_find_isomorphism_matches_the_reference_search(A, B, rnd):
+    # the same first isomorphism in lexicographic order, or None for both
+    for left, right in [(A, A), (A, B), (A, shuffled_names(A, rnd)), (shuffled_names(A, rnd), A)]:
+        assert_same_isomorphism(left, right)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_find_isomorphism_breaks_ties_like_the_reference_search(rnd):
+    # many isomorphisms: discrete sets (every bijection) and nerve(B Z3) (two automorphisms)
+    N = nerve(one_object_groupoid(cyclic_group(3)), 2)
+    points = discrete_simplicial_set(["c", "a", "d", "b"], bound=1)
+    for S in (points, N):
+        for left, right in [(S, S), (S, shuffled_names(S, rnd)), (shuffled_names(S, rnd), S)]:
+            assert_same_isomorphism(left, right)
+
+
+def test_find_isomorphism_takes_the_first_bijection_by_name():
+    # A's generators in declaration order, each sent to the first free candidate by name
+    A = discrete_simplicial_set(["c", "a", "d", "b"])
+    B = discrete_simplicial_set(["z", "x", "y", "w"])
+    assert {g: r.gen for g, r in find_isomorphism(A, B).assign.items()} == {"c": "w", "a": "x", "d": "y", "b": "z"}
 
 
 # --- truncation and windows ---------------------------------------------------
