@@ -11,11 +11,15 @@ identity letter are degenerate; the normal form of such a chain is the
 degeneracy word of its identity positions (sorted decreasingly) over
 the chain of its non-identity letters.  nerve() emits only the
 non-degenerate chains as generators, so all counting happens through
-the word calculus.
+the word calculus.  It gives their faces as id arrays (the face_ids of
+SimplicialSet), computed a column at a time from each chain's parent,
+so it makes no simplex; the face table is derived only when read.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import NamedTuple
 
 from .lifting import horn_scan, matching_simplices
@@ -27,6 +31,7 @@ from .simplicial import (
     TruncationError,
     face,
     find_isomorphism,
+    level_blocks,
     truncate,
 )
 
@@ -274,63 +279,125 @@ def composable_chain_count(C, n):
 
 
 def nerve(C, depth=4):
-    """The nerve, truncated at `depth`.
+    """The nerve, truncated at `depth`, with its generator faces as id arrays.
 
     Vertices are the objects; non-degenerate n-simplices are the
     composable chains of n non-identity morphisms, named by joining the
-    letters with dots.  Faces drop an end or compose two adjacent
-    letters (falling into a degeneracy when the composite is an
-    identity).  The result is flagged truncated exactly when some
-    non-degenerate chain of length depth+1 exists.
+    letters with dots, listed parent by parent: the chains of level n - 1
+    in order, each followed by its letters in declaration order.  Faces
+    drop an end or compose two adjacent letters (falling into a
+    degeneracy when the composite is an identity).  The result is
+    flagged truncated exactly when some non-degenerate chain of length
+    depth+1 exists.
+
+    The faces are never made as simplices.  A chain is indexed by its
+    parent and last letter, so the faces are computed as codes, columns
+    at a time: d_n of a chain is its parent; d_k for k < n - 1 appends
+    the last letter to d_k of the parent, so the d_k column runs over
+    the children of the parent's d_k entries (_children); d_(n-1)
+    composes the last two letters, a child of the grandparent or, for
+    an identity composite, s_(n-2) of it.  A code of level m numbers its
+    chains, then for each j its s_j over the chains one level down;
+    _level_ids turns codes into the ids of numbered_level, and the
+    columns, reordered by generator name, are the set's face_ids.
     """
     if depth < 0:
         raise TruncationError("nerve depth must be >= 0")
     if depth > MAX_DIM:
         raise DimensionError(f"nerve depth {depth} exceeds the supported maximum {MAX_DIM}")
     nonid = C.non_identities()
-    out = {}
-    for m in nonid:
-        out.setdefault(C.src[m], []).append(m)
-    gens_by_dim = [list(C.objects)]
-    chains = {1: [(m,) for m in nonid]}
-    for n in range(2, depth + 1):
-        chains[n] = [c + (m,) for c in chains[n - 1] for m in out.get(C.tgt[c[-1]], ())]
-    # the chains of the last two levels by their refs: every face is one of them, or a
-    # degeneracy s_(k-1) of a chain two levels down where d_k composes to an identity
+    vertex = {o: v for v, o in enumerate(C.objects)}
+    letter = {m: x for x, m in enumerate(nonid)}
+    outs = [[] for _ in C.objects]  # per object, the letters (indices into nonid) leaving it
+    for x, m in enumerate(nonid):
+        outs[vertex[C.src[m]]].append(x)
+    place = [0] * len(nonid)  # a letter's place among the letters leaving its source
+    for xs in outs:
+        for p, x in enumerate(xs):
+            place[x] = p
+    ends = [vertex[C.tgt[m]] for m in nonid]
+    # per letter y and each letter x after it: the place of x after y among the letters leaving
+    # the source of y, or -1 when x after y is an identity
     ids = C._ids
-    below = {}
-    prev = {(o,): SimplexRef((), o, 0) for o in C.objects}
-    faces = {}
+    after = [
+        [-1 if (z := C.comp[(nonid[x], m)]) in ids else place[letter[z]] for x in outs[ends[y]]]
+        for y, m in enumerate(nonid)
+    ]
+    dotted = ["." + m for m in nonid]
+
+    names = [list(C.objects), list(nonid)][:depth + 1]
+    parents = [None, [vertex[C.src[m]] for m in nonid]]
+    lasts = [None, list(range(len(nonid)))]
+    codes = [None, [ends, parents[1]]]
+    children = [outs]  # per level m < n - 1, per code of level m, the codes of its children at level m + 1
+    for n in range(2, depth + 1):
+        prev, below, grand = lasts[n - 1], children[n - 2], len(names[n - 2])
+        degrees = [len(outs[ends[y]]) for y in prev]
+        parent = list(chain.from_iterable(map(repeat, range(len(prev)), degrees)))
+        last = list(chain.from_iterable(map(outs.__getitem__, map(ends.__getitem__, prev))))
+        # d_k, k < n - 1: the last letter after d_k of the parent, so the children of its code
+        cols = [list(chain.from_iterable(map(below.__getitem__, col))) for col in codes[n - 1][:n - 1]]
+        # d_(n-1): the composite of the last two letters after the grandparent g, or s_(n-2) g
+        base = len(prev) + (n - 2) * grand
+        grown = [[*below[g], base + g] for g in range(grand)]
+        cols.append(list(chain.from_iterable(
+            map(grown[g].__getitem__, after[y]) for g, y in zip(parents[n - 1], prev)
+        )))
+        cols.append(parent)  # d_n
+        if n < depth:
+            children.append(_children(below[:grand], degrees, len(parent), n - 1))
+        names.append(list(map(add, map(names[n - 1].__getitem__, parent), map(dotted.__getitem__, last))))
+        parents.append(parent)
+        lasts.append(last)
+        codes.append(cols)
+
+    by_name, ranks = [], []
+    for level in names:
+        order = sorted(range(len(level)), key=level.__getitem__)
+        rank = [0] * len(order)
+        for r, q in enumerate(order):
+            rank[q] = r
+        by_name.append(order)
+        ranks.append(rank)
+    sizes = [len(level) for level in names]
+    face_ids = [()]
     for n in range(1, depth + 1):
-        level = []
-        refs_n = {}
-        for c in chains.get(n, []):
-            name = ".".join(c)
-            level.append(name)
-            refs_n[c] = SimplexRef((), name, n)
-            if n == 1:
-                faces[name] = (prev[(C.tgt[c[0]],)], prev[(C.src[c[0]],)])
-                continue
-            refs = [prev[c[1:]]]
-            for k in range(1, n):
-                m = C.comp[(c[k], c[k - 1])]
-                if m not in ids:
-                    refs.append(prev[c[: k - 1] + (m,) + c[k + 1:]])
-                else:
-                    core = c[: k - 1] + c[k + 1:]
-                    gen = below[core].gen if core else C.src[c[0]]
-                    refs.append(SimplexRef((k - 1,), gen, n - 1))
-            refs.append(prev[c[:-1]])
-            faces[name] = tuple(refs)
-        below, prev = prev, refs_n
-        gens_by_dim.append(level)
+        to_id = _level_ids(sizes, ranks, n - 1)
+        face_ids.append(tuple(list(map(to_id.__getitem__, map(col.__getitem__, by_name[n]))) for col in codes[n]))
 
     frontier = set(C.objects)
     for _ in range(depth + 1):
         if not frontier:
             break
         frontier = {C.tgt[m] for m in nonid if C.src[m] in frontier}
-    return SimplicialSet(gens_by_dim, faces, truncated=bool(frontier))
+    sorted_gens = [list(map(level.__getitem__, order)) for level, order in zip(names, by_name)]
+    return SimplicialSet(names, face_ids=face_ids, truncated=bool(frontier), sorted_gens=sorted_gens)
+
+
+def _children(below, degrees, size, m):
+    """Per code of level m, the codes of its children at level m + 1.
+
+    `below` holds the children's codes of the chains of level m - 1 and
+    `degrees` the number of children of each chain of level m; there
+    are `size` chains at level m + 1.  A chain's children are a run of
+    them, and s_j r has the children s_j of r's children.
+    """
+    runs = list(accumulate(degrees, initial=0))
+    out = list(map(range, runs, runs[1:]))
+    for j in range(m):
+        shift = size + j * len(degrees)
+        out += [range(c.start + shift, c.stop + shift) if type(c) is range else [shift + t for t in c] for c in below]
+    return out
+
+
+def _level_ids(sizes, ranks, m):
+    """Per code of level m, the id of its simplex in numbered_level: chains by name, then s_j of level m - 1."""
+    to_id = list(ranks[m])
+    if m and sizes[m - 1]:
+        blocks = level_blocks(sizes, m)
+        for j in range(m):
+            to_id += map(blocks[(j,)].start.__add__, ranks[m - 1])
+    return to_id
 
 
 # ---------------------------------------------------------------------------

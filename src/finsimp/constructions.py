@@ -88,21 +88,26 @@ PARTS_CACHE_SIZE = 64
 
 @lru_cache(maxsize=PARTS_CACHE_SIZE)
 def join_parts(S, T):
-    """The join with its naming maps; identity-shaped parts on empty factors."""
+    """The join with its naming maps; identity-shaped parts on empty factors.
+
+    A truncated factor cuts the join at its bound: level n of S * T
+    reads the levels up to n of both factors, so past the bound of a
+    window it is not known.
+    """
     if S.bound < 0:
         return JoinParts(T, {}, {g: g for level in T.gens for g in level}, {})
     if T.bound < 0:
         return JoinParts(S, {g: g for level in S.gens for g in level}, {}, {})
-    bound = S.bound + T.bound + 1
+    bound = min([S.bound + T.bound + 1] + [F.bound for F in (S, T) if F.truncated])
     if bound > MAX_DIM:
         raise DimensionError(f"join bound {bound} exceeds the supported maximum {MAX_DIM}")
 
-    left = {g: f"l.{g}" for level in S.gens for g in level}
-    right = {g: f"r.{g}" for level in T.gens for g in level}
+    left = {g: f"l.{g}" for level in S.gens[:bound + 1] for g in level}
+    right = {g: f"r.{g}" for level in T.gens[:bound + 1] for g in level}
     mixed = {}
-    for a in range(S.bound + 1):
+    for a in range(min(S.bound, bound - 1) + 1):
         for x in S.gens[a]:
-            for b in range(T.bound + 1):
+            for b in range(min(T.bound, bound - 1 - a) + 1):
                 for y in T.gens[b]:
                     mixed[(x, y)] = f"({x})*({y})"
 
@@ -124,9 +129,11 @@ def join_parts(S, T):
 
     faces = {}
     for g, refs in S.face_table.items():
-        faces[left[g]] = tuple(SimplexRef(r.word, left[r.gen], r.dim) for r in refs)
+        if g in left:
+            faces[left[g]] = tuple(SimplexRef(r.word, left[r.gen], r.dim) for r in refs)
     for g, refs in T.face_table.items():
-        faces[right[g]] = tuple(SimplexRef(r.word, right[r.gen], r.dim) for r in refs)
+        if g in right:
+            faces[right[g]] = tuple(SimplexRef(r.word, right[r.gen], r.dim) for r in refs)
     for (x, y), name in mixed.items():
         # d_0..d_a act on the left coordinate, the rest on the right; deleting a vertex leaves the other side
         a = S.gen_dim[x]
@@ -353,12 +360,16 @@ def _cone_rows(p, depth, under):
     Level n holds the maps (simplex * K) -> S, or (K * simplex) -> S,
     restricting to p on K, as value rows over shape(n), the join.  A
     truncated S must hold every generator of shape(depth) within its
-    bound.  Returns (sset, shape, levels).
+    bound.  K must be complete: a join with a window stops at the
+    window's bound, below the simplices a cone on K adds.  Returns
+    (sset, shape, levels).
     """
     K, S = p.source, p.target
     what = "coslice" if under else "slice"
     if depth < 0 or depth > MAX_DIM:
         raise DimensionError(f"{what} depth {depth} outside 0..{MAX_DIM}")
+    if K.truncated:
+        raise TruncationError(f"{what} of a map out of a window needs simplices past its bound {K.bound}")
     id_K = identity_map(K)
 
     def joined(simplex_part, k_part):

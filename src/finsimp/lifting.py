@@ -131,8 +131,8 @@ def matching_simplices(K, assign, n, skip=None):
     _unfilled files for the (n, skip) scan.
     """
     shape, positions = _facets(n, skip)
-    ids = numbered_level(K, n - 1).ids()
-    key = tuple([ids.get(assign[g]) for g in reversed(shape.gens[n - 1])])  # None for a value not in K: no match
+    id_of = numbered_level(K, n - 1).id_of
+    key = tuple([id_of(assign[g]) for g in reversed(shape.gens[n - 1])])  # None for a value not in K: no match
     refs = simplices(K, n)
     return [refs[z] for z in face_id_index(K, n, positions).get(key, ())]
 

@@ -1,7 +1,11 @@
 """Finite, dimension-truncated simplicial sets.
 
 A simplicial set is stored by its non-degenerate simplices (the
-"generators") together with a face table on generators.  Every simplex
+"generators") together with their faces: a face table on generators,
+or, for a set built level by level such as a nerve, face_ids, the id
+of every generator face in numbered_level one level down (the face
+table is then derived on first read, for face, validate, == and the
+text format).  Every simplex
 is then a pair (word, generator) where `word` is a strictly decreasing
 tuple of degeneracy indices, applied outermost first:
 
@@ -17,7 +21,8 @@ the map enumerator work with.
 Each level has one representation, numbered_level: its n-simplices
 listed block by block, one block per degeneracy word in word order
 with the generators by name (ref_key order; simplices(S, n) is that
-list), and every face and degeneracy operator as an array of ids.
+list), and every face and degeneracy operator as an array of ids; a
+level makes its simplices (`refs`) only when one is asked for.
 Scans that read a whole level run on these numbers, and so do every
 map search (MapSearch), pinned, constrained or neither, and the
 isomorphism search: pins, values and keys are ids, and the engine's
@@ -39,6 +44,7 @@ everything above the bound is degenerate.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import lru_cache, partial
 from operator import getitem
 from typing import NamedTuple
@@ -122,25 +128,49 @@ class SimplicialSet:
     truncated : bool
         True when the set is a window onto a larger object, i.e. the
         missing dimensions are not purely degenerate.
+    face_ids : sequence, optional
+        Instead of face_table: face_ids[n], for n >= 1, holds n+1 lists,
+        the k-th the ids of d_k g in numbered_level(S, n - 1) for the
+        dimension-n generators g by name.  These ids depend only on the
+        generators of dimension below n.  numbered_level reads them as
+        they are, and `face_table` is derived from them on first read.
+    sorted_gens : sequence of sequences of str, optional
+        The generators of each dimension sorted by name, when the
+        caller has them already.
 
     Instances are immutable by convention; all internal caches are
-    derived data.  Equality and hashing use a canonical structural key.
+    derived data.  Equality and hashing use a canonical structural key,
+    which holds the face table.
     """
 
-    def __init__(self, gens_by_dim, face_table, truncated=False):
+    def __init__(self, gens_by_dim, face_table=None, truncated=False, *, face_ids=None, sorted_gens=None):
         self.gens = tuple(tuple(level) for level in gens_by_dim)
         self.bound = len(self.gens) - 1
-        self.face_table = {g: tuple(refs) for g, refs in face_table.items()}
+        self._face_table = None if face_ids is not None else {g: tuple(refs) for g, refs in (face_table or {}).items()}
+        self._face_ids = face_ids
         self.truncated = bool(truncated)
         self.gen_dim = {}
         for n, level in enumerate(self.gens):
             for g in level:
                 self.gen_dim[g] = n
+        self._names = dict(enumerate(sorted_gens or ()))
         self._key = None
         self._hash = None
         self._level_memo = {}
         self._index_memo = {}
         self._gen_index_memo = {}
+
+    @property
+    def face_table(self):
+        """Generator -> its faces d_0..d_n as simplices; derived from face_ids on first use when given those."""
+        if self._face_table is None:
+            table = {}
+            for n in range(1, self.bound + 1):
+                below = numbered_level(self, n - 1).refs
+                faces = dict(zip(_gen_names(self, n), zip(*[map(below.__getitem__, col) for col in self._face_ids[n]])))
+                table.update((g, faces[g]) for g in self.gens[n])
+            self._face_table = table
+        return self._face_table
 
     def ref(self, word, gen):
         """Build a SimplexRef over a generator of this set."""
@@ -237,25 +267,74 @@ class NumberedLevel:
     """Level n of a simplicial set with its simplices numbered, for full-table scans.
 
     The simplices with one degeneracy word w form one block of ids, the
-    generators of dimension n - len(w) by name, and `blocks` maps each
-    word to its range of ids, blocks in word order; this is ref_key
-    order, and `refs`, the simplices by id, is simplices(S, n).
+    generators of dimension n - len(w) by name: `blocks` maps each word
+    to its range of ids, blocks in word order, and `names` to those
+    generators; `size` counts the ids.  This is ref_key order, and
+    `refs`, the simplices by id, is simplices(S, n); it is made on
+    first read, so a scan that only reads ids makes no simplex.  ref
+    and id_of turn one id into a simplex and back without it.
     faces[k] holds the id of d_k z one level down for every id z, and
     degens[j] the id of s_j y for every id y one level down.  Nothing
     here refers to S.
     """
 
-    __slots__ = ("refs", "blocks", "faces", "degens", "_ids")
+    __slots__ = ("n", "blocks", "names", "size", "faces", "degens", "_refs", "_ids")
 
-    def __init__(self, refs, blocks, faces, degens):
-        self.refs, self.blocks, self.faces, self.degens = refs, blocks, faces, degens
-        self._ids = None
+    def __init__(self, n, blocks, names, faces, degens):
+        self.n, self.blocks, self.names, self.faces, self.degens = n, blocks, names, faces, degens
+        self.size = sum(map(len, blocks.values()))
+        self._refs = self._ids = None
+
+    @property
+    def refs(self):
+        """The simplices by id, made on first read."""
+        if self._refs is None:
+            n = self.n
+            self._refs = tuple(itertools.chain.from_iterable(
+                map(SimplexRef, itertools.repeat(w), gens, itertools.repeat(n)) for w, gens in self.names.items()
+            ))
+        return self._refs
 
     def ids(self):
         """The id of every simplex of the level, built on first use."""
         if self._ids is None:
-            self._ids = dict(zip(self.refs, range(len(self.refs))))
+            self._ids = dict(zip(self.refs, range(self.size)))
         return self._ids
+
+    def ref(self, z):
+        """The simplex with id z."""
+        if self._refs is not None or not 0 <= z < self.size:
+            return self.refs[z]
+        for w, run in self.blocks.items():
+            if z < run.stop:
+                return SimplexRef(w, self.names[w][z - run.start], self.n)
+
+    def id_of(self, r):
+        """The id of the simplex r, or None when r is not one of the level's simplices."""
+        names = self.names.get(r.word)
+        if names is None or r.dim != self.n:
+            return None
+        p = bisect_left(names, r.gen)
+        return self.blocks[r.word].start + p if p < len(names) and names[p] == r.gen else None
+
+
+def _gen_names(S, m):
+    """The dimension-m generators of S by name; memoised on S."""
+    names = S._names.get(m)
+    if names is None:
+        names = S._names[m] = sorted(S.gens[m])
+    return names
+
+
+def level_blocks(sizes, n):
+    """The blocks of level n of a set with sizes[m] generators in dimension m: word -> range of ids, in word order."""
+    blocks, size = {}, 0
+    words = (w for m in range(min(n, len(sizes) - 1) + 1) if sizes[m]
+             for w in itertools.combinations(range(n - 1, -1, -1), n - m))
+    for word in sorted(words):
+        blocks[word] = range(size, size + sizes[n - len(word)])
+        size += sizes[n - len(word)]
+    return blocks
 
 
 def numbered_level(S, n):
@@ -263,12 +342,13 @@ def numbered_level(S, n):
 
     The simplices are listed block by block, the degeneracy words of
     length n - m in order for every m with generators, each block the
-    dimension-m generators by name.  s_j maps the block of word w onto
-    the block of word s_j w, keeping positions.  d_k of a generator is
-    read off the face table; of s_j y it is y for k in {j, j+1}, else
-    s_(j-1) d_k y (k < j) or s_j d_(k-1) y (k > j+1), read from the
-    arrays one and two levels down (Gabriel-Zisman).  No face of a
-    single simplex is computed.  There is no level below 0.
+    dimension-m generators by name (level_blocks).  s_j maps the block
+    of word w onto the block of word s_j w, keeping positions.  d_k of
+    a generator is read off S's face_ids when it has them, else looked
+    up by the simplices of its face table; of s_j y it is y for k in
+    {j, j+1}, else s_(j-1) d_k y (k < j) or s_j d_(k-1) y (k > j+1),
+    read from the arrays one and two levels down (Gabriel-Zisman).  No
+    face of a single simplex is computed.  There is no level below 0.
     """
     if n < 0:
         raise DimensionError(f"level {n} out of range: levels start at 0")
@@ -276,25 +356,26 @@ def numbered_level(S, n):
     hit = memo.get(n)
     if hit is not None:
         return hit
-    blocks, refs = {}, []
-    words = (w for m in range(min(n, S.bound) + 1) if S.gens[m]
-             for w in itertools.combinations(range(n - 1, -1, -1), n - m))
-    for word in sorted(words):
-        names = sorted(S.gens[n - len(word)])
-        blocks[word] = range(len(refs), len(refs) + len(names))
-        refs += [SimplexRef(word, g, n) for g in names]
+    blocks = level_blocks(S.size_vector(), n)
+    names = {w: _gen_names(S, n - len(w)) for w in blocks}
     faces, degens = [], []
     if n:
         low = numbered_level(S, n - 1)
         for j in range(n):
             degens.append(list(itertools.chain.from_iterable(
                 blocks[insert_degeneracy(w, j)] for w in low.blocks)))
-        gen_faces = [S.face_table[g] for g in sorted(S.gens[n])] if () in blocks else ()
+        if () not in blocks:
+            gen_faces = ()
+        elif S._face_ids is not None:
+            gen_faces = S._face_ids[n]
+        else:
+            rows = [S.face_table[g] for g in names[()]]
+            gen_faces = [list(map(low.ids().__getitem__, [f[k] for f in rows])) for k in range(n + 1)]
         for k in range(n + 1):
             col = []
             for word in blocks:
                 if not word:
-                    col += map(low.ids().__getitem__, [f[k] for f in gen_faces])
+                    col += gen_faces[k]
                     continue
                 j, inner = word[0], low.blocks[word[1:]]
                 if k == j or k == j + 1:
@@ -303,7 +384,7 @@ def numbered_level(S, n):
                     s, d = (low.degens[j - 1], low.faces[k]) if k < j else (low.degens[j], low.faces[k - 1])
                     col += map(s.__getitem__, d[inner.start:inner.stop])
             faces.append(col)
-    out = memo[n] = NumberedLevel(tuple(refs), blocks, faces, degens)
+    out = memo[n] = NumberedLevel(n, blocks, names, faces, degens)
     return out
 
 
@@ -318,7 +399,7 @@ def _column(S, n, word, degens=(), ids=None):
         n += 1
         a = numbered_level(S, n).degens[k]
         col = a if col is None else list(map(a.__getitem__, col))
-    return range(len(simplices(S, n))) if col is None else col
+    return range(numbered_level(S, n).size) if col is None else col
 
 
 def _filed(cols, zs):
@@ -345,7 +426,7 @@ def face_id_index(S, n, positions):
     key = (n, positions)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = _filed([_column(S, n, w) for w in positions], range(len(simplices(S, n))))
+        hit = memo[key] = _filed([_column(S, n, w) for w in positions], range(numbered_level(S, n).size))
     return hit
 
 
@@ -386,7 +467,7 @@ def face_lookup(S, n, positions, key):
     place in the block of I.
     """
     levels = [n - len(w) for w in positions]
-    words = [set(simplices(S, d)[x].word) for d, x in zip(levels, key)]
+    words = [set(numbered_level(S, d).ref(x).word) for d, x in zip(levels, key)]
     out = []
     for word, m, parts, outer, slots in _lookup_plan(n, positions):
         if m > S.bound or not S.gens[m]:
@@ -526,42 +607,34 @@ def validate(S):
 # The standard family: simplices, boundaries, horns.
 
 
-def _subset_complex(n, tops):
-    """Subcomplex of the standard n-simplex spanned by a set of vertex subsets.
-
-    `tops` is an iterable of tuples of vertices; the complex contains
-    all their non-empty subsets.  Generators are named by concatenating
-    vertex digits ("02" is the edge from 0 to 2).
-    """
-    keep = set()
-    for top in tops:
-        for r in range(1, len(top) + 1):
-            keep.update(itertools.combinations(top, r))
-    if not keep:
-        return EMPTY
-    by_dim = {}
-    for sub in keep:
-        by_dim.setdefault(len(sub) - 1, []).append(sub)
-    bound = max(by_dim)
-    gens_by_dim = []
-    faces = {}
-    ref = {sub: SimplexRef((), "".join(map(str, sub)), len(sub) - 1) for sub in keep}
-    for m in range(bound + 1):
-        level = sorted(by_dim.get(m, []))
-        gens_by_dim.append([ref[sub].gen for sub in level])
-        if m == 0:
-            continue
-        for sub in level:
-            faces[ref[sub].gen] = tuple(ref[sub[:k] + sub[k + 1:]] for k in range(m + 1))
-    return SimplicialSet(gens_by_dim, faces)
-
-
 @lru_cache(maxsize=None)
 def standard_simplex(n):
-    """The standard n-simplex; one generator per non-empty vertex subset."""
+    """The standard n-simplex; one generator per non-empty vertex subset.
+
+    Generators are named by concatenating vertex digits ("02" is the
+    edge from 0 to 2) and listed by name in every dimension.
+    """
     if not 0 <= n <= MAX_DIM:
         raise DimensionError(f"standard simplex dimension {n} outside 0..{MAX_DIM}")
-    return _subset_complex(n, [tuple(range(n + 1))])
+    levels = [["".join(map(str, sub)) for sub in itertools.combinations(range(n + 1), m + 1)] for m in range(n + 1)]
+    faces = {
+        g: tuple(SimplexRef((), g[:k] + g[k + 1:], m - 1) for k in range(m + 1))
+        for m, level in enumerate(levels) if m for g in level
+    }
+    return SimplicialSet(levels, faces)
+
+
+def _simplex_without(n, dropped):
+    """The standard n-simplex without its top generator and the facets d_k, k in `dropped`.
+
+    Its face tuples are the simplex's own.
+    """
+    D = standard_simplex(n)
+    top = n - 1
+    gone = {D.face_table[D.gens[n][0]][k].gen for k in dropped}
+    gens = [*D.gens[:top], [g for g in D.gens[top] if g not in gone]]
+    faces = {g: D.face_table[g] for level in gens[1:] for g in level}
+    return SimplicialSet(gens, faces)
 
 
 @lru_cache(maxsize=None)
@@ -569,9 +642,7 @@ def simplex_boundary(n):
     """Boundary of the standard n-simplex and its inclusion into it."""
     if not 1 <= n <= MAX_DIM:
         raise DimensionError(f"boundary dimension {n} outside 1..{MAX_DIM}")
-    verts = tuple(range(n + 1))
-    tops = [verts[:k] + verts[k + 1:] for k in range(n + 1)]
-    B = _subset_complex(n, tops)
+    B = _simplex_without(n, ())
     return B, _sub_inclusion(B, standard_simplex(n))
 
 
@@ -579,18 +650,17 @@ def simplex_boundary(n):
 def horn(n, i):
     """The horn with the i-th face removed, plus its inclusion into the simplex.
 
-    The union of the facets d_k for k != i.  In the lowest case the
-    horn degenerates to a single vertex: horn(1, 0) is the vertex "0"
-    (a map out of it picks the source of a sought edge) and horn(1, 1)
-    is the vertex "1".
+    The union of the facets d_k for k != i: the standard n-simplex
+    without its top generator and its facet d_i.  In the lowest case
+    the horn degenerates to a single vertex: horn(1, 0) is the vertex
+    "0" (a map out of it picks the source of a sought edge) and
+    horn(1, 1) is the vertex "1".
     """
     if not 1 <= n <= MAX_DIM:
         raise DimensionError(f"horn dimension {n} outside 1..{MAX_DIM}")
     if not 0 <= i <= n:
         raise DimensionError(f"horn index {i} out of range for dimension {n}")
-    verts = tuple(range(n + 1))
-    tops = [verts[:k] + verts[k + 1:] for k in range(n + 1) if k != i]
-    H = _subset_complex(n, tops)
+    H = _simplex_without(n, (i,))
     return H, _sub_inclusion(H, standard_simplex(n))
 
 
@@ -618,9 +688,13 @@ def truncate(S, d):
     if d >= S.bound:
         return S
     dropped = any(S.gens[n] for n in range(d + 1, S.bound + 1))
+    truncated = S.truncated or dropped
+    if S._face_ids is not None:  # ids one level down do not depend on the levels above
+        return SimplicialSet(S.gens[: d + 1], face_ids=S._face_ids[: d + 1], truncated=truncated,
+                             sorted_gens=[_gen_names(S, m) for m in range(d + 1)])
     keep = {g for level in S.gens[: d + 1] for g in level}
     faces = {g: refs for g, refs in S.face_table.items() if g in keep}
-    return SimplicialSet(S.gens[: d + 1], faces, truncated=S.truncated or dropped)
+    return SimplicialSet(S.gens[: d + 1], faces, truncated=truncated)
 
 
 def rename_generators(S, mapping):
@@ -919,8 +993,11 @@ class MapSearch:
     ints, ties and checks read faces from id arrays (_column), and the
     tables are face_id_index's and face_lookup's.  Only `constrain`
     sees simplices, those of the candidates.  `rows` gives the maps'
-    value rows in ids and `as_refs` turns one into simplices; rows
-    sort like map_key.  `_plans`, internal, gives the search plan for
+    value rows in ids, turning the plan's register program into id
+    arrays at its first call, and `as_refs` turns one into simplices
+    through `levels`, made at its first call too; rows sort like
+    map_key.  A scan that hands back no map makes neither.  `_plans`,
+    internal, gives the search plan for
     the frozenset of pinned names, for scans that build one plan per
     shape (default: _search_plan of A).
     """
@@ -940,16 +1017,10 @@ class MapSearch:
         self.live = pins is not None
         plan = (_plans or partial(_search_plan, A))(frozenset(pins or ()))
         names, self.steps, self.slots, program, self.out = plan
-        self.pins = [numbered_level(B, A.gen_dim[g]).ids()[pins[g]] for g in names]
+        self.pins = [numbered_level(B, A.gen_dim[g]).id_of(pins[g]) for g in names]
         # the level of each slot's value: the pins', then the cells' in search order
         self._dims = [A.gen_dim[g] for g in names] + [step[0] for step in self.steps]
-        # the plan's (register, face) steps become (register, id array) steps
-        dims = self._dims[:len(names)] + [self._dims[s] for s in self.slots]
-        self.program = []
-        for r, k in program:
-            self.program.append((r, numbered_level(B, dims[r]).faces[k]))
-            dims.append(dims[r] - 1)
-        self._levels = [simplices(B, A.gen_dim[g]) for g in self.flat]
+        self._plan_program, self._program, self._levels = program, None, None
 
     def _lookups(self):
         """Per step its table, its ties as (slot, reader), and the filter of its candidates or None.
@@ -1018,14 +1089,27 @@ class MapSearch:
         sort like map_key: position p holds values of one dimension,
         and ids follow simplices(B, n), which is sorted by ref_key.
         """
+        if self._program is None:
+            # the plan's (register, face) steps become (register, id array) steps
+            dims = self._dims[:len(self.pins)] + [self._dims[s] for s in self.slots]
+            self._program = []
+            for r, k in self._plan_program:
+                self._program.append((r, numbered_level(self.target, dims[r]).faces[k]))
+                dims.append(dims[r] - 1)
         regs = [*([x] * count for x in self.pins), *tops]
-        for src, a in self.program:
+        for src, a in self._program:
             regs.append(list(map(a.__getitem__, regs[src])))
         return _transposed(count, [regs[r] for r in self.out])
 
+    def levels(self):
+        """Per generator of A in declaration order, the simplices of the level its values lie in."""
+        if self._levels is None:
+            self._levels = [simplices(self.target, self.source.gen_dim[g]) for g in self.flat]
+        return self._levels
+
     def as_refs(self, row):
         """A row of this search as simplices."""
-        return tuple(map(getitem, self._levels, row))
+        return tuple(map(getitem, self.levels(), row))
 
     def first(self, tops, found):
         """The (map, payload) of the (row number, payload) pairs in `found` whose map is listed first.
@@ -1038,7 +1122,7 @@ class MapSearch:
         picked = [i for i, _ in found]
         rows = list(self.rows(len(found), [list(map(c.__getitem__, picked)) for c in tops]))
         best = min(range(len(rows)), key=rows.__getitem__)
-        values = self.as_refs(rows[best])
+        values = map(getitem, self.levels(), rows[best])
         return SimplicialMap(self.source, self.target, zip(self.flat, values)), found[best][1]
 
 
@@ -1054,13 +1138,19 @@ def _fits(checks, constrain, new, x):
     )
 
 
+def _sorted_rows(A, B, fixed, limit, constrain):
+    """The search of A -> B, and the id rows of its maps, sorted (so like map_key), the first `limit`."""
+    search = MapSearch(A, B, fixed, constrain)
+    return search, sorted(search.rows(*search.join()))[:limit]
+
+
 def map_rows(A, B, fixed=None, limit=None, constrain=None):
     """The maps of enumerate_maps as value rows: values on A's generators in declaration order.
 
     Rows sort like map_key, so the list is enumerate_maps' order.
     """
-    search = MapSearch(A, B, fixed, constrain)
-    return [search.as_refs(row) for row in sorted(search.rows(*search.join()))[:limit]]
+    search, rows = _sorted_rows(A, B, fixed, limit, constrain)
+    return list(map(search.as_refs, rows))
 
 
 def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
@@ -1073,7 +1163,9 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
     before it.  Output is sorted by map_key, independent of the search;
     `limit` keeps the first `limit` maps, the smallest.
     """
-    return maps_of_rows(A, B, map_rows(A, B, fixed, limit, constrain))
+    search, rows = _sorted_rows(A, B, fixed, limit, constrain)
+    levels, flat = search.levels(), search.flat
+    return [SimplicialMap(A, B, zip(flat, map(getitem, levels, row))) for row in rows]
 
 
 def maps_of_rows(A, B, rows):
@@ -1128,7 +1220,7 @@ def find_isomorphism(A, B):
             stack.pop()
             if not stack:
                 return None
-    assign = {g: numbered_level(B, A.gen_dim[g]).refs[phi[g]] for g in flat}
+    assign = {g: numbered_level(B, A.gen_dim[g]).ref(phi[g]) for g in flat}
     return SimplicialMap(A, B, assign)
 
 

@@ -1,9 +1,11 @@
 """Finite categories, nerves with the chain-count oracle, nerve recognition."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsimp.categories import (
     DetectResult,
+    FiniteCategory,
     arrow_category,
     as_groupoid,
     build_category,
@@ -33,6 +35,8 @@ from finsimp.simplicial import (
     standard_simplex,
     validate,
 )
+from reference_nerve import reference_nerve
+from strategies import small_categories
 
 
 def test_corpus_categories_are_valid(corpus):
@@ -238,6 +242,61 @@ def test_detect_result_shape():
     res = nerve_detect(nerve(arrow_category(), 2), 2)
     assert isinstance(res, DetectResult)
     assert res.reason is None
+
+
+def relabelled(C, names):
+    """C with its non-identity morphisms renamed, in order, by `names`."""
+    rename = dict(zip(C.non_identities(), names))
+    new = lambda m: rename.get(m, m)
+    return FiniteCategory(
+        C.objects,
+        [new(m) for m in C.morphisms],
+        {new(m): a for m, a in C.src.items()},
+        {new(m): b for m, b in C.tgt.items()},
+        {(new(g), new(f)): new(h) for (g, f), h in C.comp.items()},
+        C.identities,
+    )
+
+
+@st.composite
+def categories_named_out_of_order(draw):
+    """A small category whose letters may hold ' ', '(' and '-', which sort below the '.' of chain names."""
+    C = draw(small_categories())
+    count = len(C.non_identities())
+    names = draw(st.lists(st.text(" (-ab", min_size=1, max_size=3), min_size=count, max_size=count, unique=True))
+    return relabelled(C, names)
+
+
+def assert_nerve_matches_the_reference(C, depth):
+    N, R = nerve(C, depth), reference_nerve(C, depth)
+    assert N.gens == R.gens
+    assert N.truncated == R.truncated
+    assert list(N.face_table.items()) == list(R.face_table.items())
+    assert N == R
+
+
+def test_nerve_matches_the_reference_nerve_on_the_corpus(corpus):
+    for _, C, _ in corpus:
+        for depth in range(5):
+            assert_nerve_matches_the_reference(C, depth)
+
+
+def test_nerve_matches_the_reference_when_chain_order_is_not_name_order():
+    # Z3 with letters "b" and "a(": chain order lists "b" first, name order "a(" ("(" < ".");
+    # b after a( is the identity, so d_1 of the chain (a(, b) is the degenerate s_0 of the vertex
+    Z3 = one_object_groupoid(cyclic_group(3))
+    C = relabelled(Z3, ["b", "a("])
+    N = nerve(C, 4)
+    assert N.gens[2] == ("b.b", "b.a(", "a(.b", "a(.a(") != tuple(sorted(N.gens[2]))
+    assert N.face_table["a(.b"] == (SimplexRef((), "b", 1), SimplexRef((0,), "pt", 1), SimplexRef((), "a(", 1))
+    for depth in range(5):
+        assert_nerve_matches_the_reference(C, depth)
+
+
+@settings(max_examples=60)
+@given(st.one_of(small_categories(), categories_named_out_of_order()), st.integers(0, 4))
+def test_nerve_matches_the_reference_nerve_on_generated_categories(C, depth):
+    assert_nerve_matches_the_reference(C, depth)
 
 
 def reference_nerve_faces(C, depth):

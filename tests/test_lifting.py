@@ -355,6 +355,29 @@ def test_kan_scan_files_the_tables_of_the_map_search():
     )
 
 
+def assert_lazy(N, handed_back=()):
+    """N has no derived face table, and no level of it outside `handed_back` has made its simplices."""
+    assert N._level_memo
+    assert N._face_table is None
+    assert all(level._refs is None for n, level in N._level_memo.items() if n not in handed_back)
+
+
+def test_scans_make_no_simplices_of_the_levels_they_do_not_hand_back():
+    # a scan reads face ids: a nerve's face table stays underived and its levels make no
+    # SimplexRef, except the levels whose simplices a witness holds
+    N = nerve(one_object_groupoid(symmetric_group(3)), 4)
+    assert is_kan(N, 4)
+    assert_lazy(N)
+    N = nerve(chain_category(4), 5)
+    assert is_quasicategory(N, 5)
+    assert_lazy(N)
+    N = nerve(chain_category(3), 3)
+    res = is_kan(N, 3)
+    assert not res and res.witness.n == 2
+    assert_lazy(N, handed_back={0, 1})
+    assert N._level_memo[2]._refs is None
+
+
 def test_nerve_detect_reads_the_tables_of_its_inner_horn_scan():
     # the composite lookup reads the (2, 1) scan's table and the isomorphism check the
     # generator index, so nerve_detect files no id table the unique-filler scan does not

@@ -171,6 +171,7 @@ def test_simplices_match_the_enumeration_on_generated_sets(S):
 def test_face_keeps_no_state():
     S = nerve(poset_category(["a", "b", "c"], lambda x, y: x <= y), 3)
     levels = [simplices(S, n) for n in range(5)]
+    S.face_table  # a nerve derives its face table once, on first read; face itself must add nothing
     state = {name: len(v) if isinstance(v, dict) else v for name, v in vars(S).items()}
     for zs in levels[1:]:
         for z in zs:
@@ -376,6 +377,19 @@ def assert_numbered_levels_match_the_calculus(S, top):
             assert [below[i] for i in col] == [face(S, k, z) for z in simplices(S, n)]
         for j, col in enumerate(level.degens):
             assert [level.refs[i] for i in col] == [word_apply((j,), y) for y in below]
+
+
+def test_levels_turn_single_ids_into_simplices_and_back_without_listing_them(corpus):
+    # ref and id_of read the blocks and their generator names; refs stays unmade
+    for _, C, _ in corpus:
+        N, M = nerve(C, 3), nerve(C, 3)
+        for n in range(5):
+            level, listed = numbered_level(N, n), simplices(M, n)
+            assert [level.ref(z) for z in range(level.size)] == list(listed)
+            assert [level.id_of(r) for r in listed] == list(range(level.size))
+            assert level._refs is None
+            assert level.id_of(SimplexRef((), "no such generator", n)) is None
+            assert all(level.id_of(r) is None for r in simplices(M, n + 1)[:3])
 
 
 def test_numbered_levels_match_the_face_and_degeneracy_calculus(corpus):

@@ -18,9 +18,12 @@ nerve N(C), so it must hold on every draw:
 - a nerve is 2-coskeletal: every n-sphere in it, n >= 3, has exactly
   one filler (Kerodon, on the nerve of a category);
 - the nerve takes joins of categories to joins: N(C * D) is
-  N(C) * N(D) (Joyal, *Quasi-categories and Kan complexes*, 2002).
+  N(C) * N(D) (Joyal, *Quasi-categories and Kan complexes*, 2002); so
+  the cone on the window nerve(C, k) is the nerve of the cone on C
+  through level k, the bound at which the cone on a window stops.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finsimp.categories import (
@@ -32,12 +35,13 @@ from finsimp.categories import (
     nerve,
     nerve_detect,
     poset_category,
+    terminal_category,
 )
-from finsimp.constructions import join, product
+from finsimp.constructions import join, left_cone, product, right_cone
 from finsimp.groups import cyclic_group, one_object_groupoid, symmetric_group
 from finsimp.lifting import _unfilled, has_unique_inner_fillers, is_kan, is_quasicategory
 from finsimp.limits import colimit, is_final, is_initial, limit, mapping_space
-from finsimp.simplicial import SimplicialMap, discrete_simplicial_set, find_isomorphism, truncate
+from finsimp.simplicial import SimplicialMap, TruncationError, discrete_simplicial_set, find_isomorphism, truncate
 from strategies import small_categories, small_posets
 
 
@@ -181,3 +185,25 @@ def test_the_nerve_preserves_joins(C, D):
     N = nerve(join_categories(C, D), 3)
     J = truncate(join(nerve(C, 3), nerve(D, 3)), 3)
     assert find_isomorphism(N, J) is not None
+
+
+@settings(max_examples=30)
+@given(small_categories(), st.integers(0, 3))
+@example(chain_category(2), 1)
+@example(one_object_groupoid(cyclic_group(2)), 2)
+def test_the_cone_on_a_window_is_the_nerve_of_the_cone_category_through_its_bound(C, k):
+    # the window nerve(C, k) knows the cone up to level k only: a truncated cone stops there
+    W = nerve(C, k)
+    point = terminal_category()
+    for cone, category in ((right_cone, join_categories(C, point)), (left_cone, join_categories(point, C))):
+        K = cone(W).sset
+        assert (K.bound, K.truncated) == ((k, True) if W.truncated else (k + 1, False))
+        N = nerve(category, k)
+        T = truncate(K, k)
+        assert T.truncated == N.truncated
+        assert find_isomorphism(N, T) is not None
+        if K.bound:
+            assert is_quasicategory(K, K.bound)
+        if K.truncated:
+            with pytest.raises(TruncationError):
+                is_quasicategory(K, K.bound + 1)
