@@ -370,8 +370,7 @@ def nerve(C, depth=4):
         if not frontier:
             break
         frontier = {C.tgt[m] for m in nonid if C.src[m] in frontier}
-    sorted_gens = [list(map(level.__getitem__, order)) for level, order in zip(names, by_name)]
-    return SimplicialSet(names, face_ids=face_ids, truncated=bool(frontier), sorted_gens=sorted_gens)
+    return SimplicialSet(names, face_ids=face_ids, truncated=bool(frontier))
 
 
 def _children(below, degrees, size, m):

@@ -134,16 +134,13 @@ class SimplicialSet:
         dimension-n generators g by name.  These ids depend only on the
         generators of dimension below n.  numbered_level reads them as
         they are, and `face_table` is derived from them on first read.
-    sorted_gens : sequence of sequences of str, optional
-        The generators of each dimension sorted by name, when the
-        caller has them already.
 
     Instances are immutable by convention; all internal caches are
     derived data.  Equality and hashing use a canonical structural key,
     which holds the face table.
     """
 
-    def __init__(self, gens_by_dim, face_table=None, truncated=False, *, face_ids=None, sorted_gens=None):
+    def __init__(self, gens_by_dim, face_table=None, truncated=False, *, face_ids=None):
         self.gens = tuple(tuple(level) for level in gens_by_dim)
         self.bound = len(self.gens) - 1
         self._face_table = None if face_ids is not None else {g: tuple(refs) for g, refs in (face_table or {}).items()}
@@ -153,7 +150,7 @@ class SimplicialSet:
         for n, level in enumerate(self.gens):
             for g in level:
                 self.gen_dim[g] = n
-        self._names = dict(enumerate(sorted_gens or ()))
+        self._names = {}
         self._key = None
         self._hash = None
         self._level_memo = {}
@@ -303,11 +300,12 @@ class NumberedLevel:
 
     def ref(self, z):
         """The simplex with id z."""
-        if self._refs is not None or not 0 <= z < self.size:
-            return self.refs[z]
+        if self._refs is not None:
+            return self._refs[z]
         for w, run in self.blocks.items():
-            if z < run.stop:
+            if z in run:
                 return SimplexRef(w, self.names[w][z - run.start], self.n)
+        raise IndexError(f"no simplex {z} at level {self.n}")
 
     def id_of(self, r):
         """The id of the simplex r, or None when r is not one of the level's simplices."""
@@ -690,8 +688,7 @@ def truncate(S, d):
     dropped = any(S.gens[n] for n in range(d + 1, S.bound + 1))
     truncated = S.truncated or dropped
     if S._face_ids is not None:  # ids one level down do not depend on the levels above
-        return SimplicialSet(S.gens[: d + 1], face_ids=S._face_ids[: d + 1], truncated=truncated,
-                             sorted_gens=[_gen_names(S, m) for m in range(d + 1)])
+        return SimplicialSet(S.gens[: d + 1], face_ids=S._face_ids[: d + 1], truncated=truncated)
     keep = {g for level in S.gens[: d + 1] for g in level}
     faces = {g: refs for g, refs in S.face_table.items() if g in keep}
     return SimplicialSet(S.gens[: d + 1], faces, truncated=truncated)

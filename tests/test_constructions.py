@@ -398,6 +398,25 @@ def test_slice_depth_guard():
     assert coslice_under(vertex_inclusion(S, "0"), 0).bound == 0
 
 
+def test_slices_and_coslices_of_maps_out_of_a_window_are_refused():
+    # the cone on a window stops at its bound, below the cone's own top simplices
+    window, full = nerve(chain_category(2), 1), nerve(chain_category(3), 4)
+    p = SimplicialMap(window, full, {g: full.generator(g) for level in window.gens for g in level})
+    assert p.validate() == []
+    for construct, what in [(slice_over, "slice"), (coslice_under, "coslice")]:
+        with pytest.raises(TruncationError, match=f"^{what} of a map out of a window needs simplices past its bound 1$"):
+            construct(p, 0)
+
+
+def test_a_join_with_a_window_stops_at_its_bound():
+    # right_cone(nerve of 0 < 1 < 2, cut at 1) once reached level 2 with 3 of the 4 triangles
+    window = nerve(chain_category(2), 1)
+    for J in (right_cone(window).sset, left_cone(window).sset, join(window, standard_simplex(2))):
+        assert (J.bound, J.truncated) == (1, True)
+    assert right_cone(window).sset.size_vector() == (4, 6)
+    assert right_cone(nerve(chain_category(2), 2)).sset.size_vector() == (4, 6, 4, 1)
+
+
 def test_slices_and_coslices_refuse_to_look_past_a_window():
     # the coslice of 0 in 0 < 1 < 2 < 3 has (4, 6, 4) simplices to depth 2, read from the
     # complete nerve; the window cut at 2 lacks the 3-simplices of its join shape Δ0 * Δ2
