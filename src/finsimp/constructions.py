@@ -21,11 +21,14 @@ so the cardinality bookkeeping is exact:
   and degeneracies precompose with coface/codegeneracy joined with the
   identity of K.  Coslices are dual.  Slices, coslices and the mapping
   spaces of `limits` are one construction, `_family_maps`: pinned maps
-  out of a family of shapes over the standard simplices, kept as value
-  rows (a map's values on its source's generators, in order).  Each
-  induced coface and codegeneracy becomes a gather plan once per
-  (n, k), so a face or degeneracy of a row is an index gather, and
-  the rows file into from_level_data as plain tuples.
+  out of a family of shapes over the standard simplices, kept as the
+  id rows of map_rows (the ids of a map's values on its source's
+  generators, in order).  Each induced coface and codegeneracy becomes
+  a gather plan once per (n, k): per generator, an index into the row
+  and a degeneracy column of the target's numbered levels.  So a face
+  or degeneracy of a row is one list read per value, and the rows file
+  into from_level_data as int tuples.  Rows become SimplicialMaps
+  (maps_of_rows) only for what slice_data and coslice_data return.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .simplicial import (
     SimplicialMap,
     SimplicialSet,
     TruncationError,
+    _column,
     codegeneracy_map,
     coface_map,
     from_level_data,
@@ -50,7 +54,6 @@ from .simplicial import (
     maps_of_rows,
     numbered_level,
     standard_simplex,
-    word_apply,
 )
 
 
@@ -312,19 +315,22 @@ def product_projections(S, T):
 # Slices and coslices.
 
 
-def _gather_plan(f):
-    """f as a gather: per generator x of f's source, (index of f(x)'s generator in f's target, its word).
+def _gather_plan(S, f):
+    """f as a gather on rows into S: per generator x of f's source, (i, column) for f(x) = s_w g.
 
-    Indices count the target's generators in declaration order, the
-    order of a value row, so a row F of a map out of f's target gives
-    F after f as _gather(plan, F).
+    i indexes g among f's target's generators in declaration order, the
+    order of a row, and the column takes the id of a value on g in S's
+    numbered levels to that of s_w of it (_column), or is None when w
+    is empty.  So a row F of a map out of f's target into S gives F
+    after f as _gather(plan, F).
     """
     index = {g: i for i, g in enumerate(g for level in f.target.gens for g in level)}
-    return tuple((index[r.gen], r.word) for r in (f.assign[x] for level in f.source.gens for x in level))
+    refs = (f.assign[x] for level in f.source.gens for x in level)
+    return tuple((index[r.gen], _column(S, r.dim - len(r.word), (), r.word) if r.word else None) for r in refs)
 
 
 def _gather(plan, row):
-    return tuple([word_apply(w, row[i]) if w else row[i] for i, w in plan])
+    return tuple([row[i] if col is None else col[row[i]] for i, col in plan])
 
 
 def _family_maps(S, depth, shape, induced, pin):
@@ -334,17 +340,18 @@ def _family_maps(S, depth, shape, induced, pin):
     `induced(theta)` the family's map for a map theta of standard
     simplices (theta joined with, or multiplied by, an identity).
     Level n lists the maps from shape(n) into S that agree with
-    `pin(n)`, as value rows (map_rows) in enumeration order.  Faces and
+    `pin(n)`, as id rows (map_rows) in enumeration order.  Faces and
     degeneracies precompose with the induced cofaces and codegeneracies,
-    each turned into a gather plan once.  Returns (sset, levels); the
-    level-0 rows are the vertices sset.gens[0], in order.
+    each turned into a gather plan on S's numbered levels once.  Returns
+    (sset, levels); the level-0 rows are the vertices sset.gens[0], in
+    order.
     """
     levels = [map_rows(shape(n), S, fixed=pin(n)) for n in range(depth + 1)]
     coface = {
-        (n, k): _gather_plan(induced(coface_map(n, k))) for n in range(1, depth + 1) for k in range(n + 1)
+        (n, k): _gather_plan(S, induced(coface_map(n, k))) for n in range(1, depth + 1) for k in range(n + 1)
     }
     codegeneracy = {
-        (n, k): _gather_plan(induced(codegeneracy_map(n + 1, k))) for n in range(depth) for k in range(n + 1)
+        (n, k): _gather_plan(S, induced(codegeneracy_map(n + 1, k))) for n in range(depth) for k in range(n + 1)
     }
     sset, _ = from_level_data(
         levels,
@@ -358,7 +365,7 @@ def _cone_rows(p, depth, under):
     """The slice of p, or the coslice when `under`, with its level rows.
 
     Level n holds the maps (simplex * K) -> S, or (K * simplex) -> S,
-    restricting to p on K, as value rows over shape(n), the join.  A
+    restricting to p on K, as id rows over shape(n), the join.  A
     truncated S must hold every generator of shape(depth) within its
     bound.  K must be complete: a join with a window stops at the
     window's bound, below the simplices a cone on K adds.  Returns

@@ -28,6 +28,7 @@ from .simplicial import (
     TruncationError,
     identity_map,
     maps_of_rows,
+    simplices,
     standard_simplex,
 )
 
@@ -140,8 +141,9 @@ class ConeResult(NamedTuple):
 def _cone_search(p, N, under):
     """The first final vertex of the slice (initial vertex of the coslice when `under`).
 
-    The scan runs on the slice's value rows; only the winning cone
-    becomes a SimplicialMap.
+    The scan runs on the slice's id rows: the passers are read off
+    level 0 of the target, and only the winning cone becomes a
+    SimplicialMap.
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
@@ -152,7 +154,8 @@ def _cone_search(p, N, under):
     if not cones:
         return ConeResult(None, None, N, ())
     at = [g for level in source.gens for g in level].index(apex)
-    passers = tuple(row[at].gen for row in cones)
+    vertices = simplices(p.target, 0)
+    passers = tuple(vertices[row[at]].gen for row in cones)
     return ConeResult(passers[0], maps_of_rows(source, p.target, cones[:1])[0], N, passers)
 
 

@@ -29,9 +29,10 @@ isomorphism search: pins, values and keys are ids, and the engine's
 one face-table format is ids under int tuples, the tables of all
 n-simplices (face_id_index) and of generators (_generator_index,
 read by face_lookup), so lookups index lists instead of rewriting
-words; face rewrites single simplices and keeps no memo.  Simplices
-are made only at the boundary: pins taken in, the candidates a
-search's `constrain` is asked about, rows handed back, witnesses, and
+words; face rewrites single simplices and keeps no memo.  Searches
+hand maps back as id rows (map_rows), and only maps_of_rows makes
+simplices of those.  Else simplices are made only at the boundary: pins
+taken in, the candidates a search's `constrain` is asked about, and
 face_index, a table turned into simplices for callers outside.
 
 The `truncated` flag marks sets that are honest windows onto a larger
@@ -299,8 +300,8 @@ class NumberedLevel:
         return self._ids
 
     def ref(self, z):
-        """The simplex with id z."""
-        if self._refs is not None:
+        """The simplex with id z; IndexError for an id outside range(size)."""
+        if self._refs is not None and 0 <= z < self.size:
             return self._refs[z]
         for w, run in self.blocks.items():
             if z in run:
@@ -991,12 +992,11 @@ class MapSearch:
     tables are face_id_index's and face_lookup's.  Only `constrain`
     sees simplices, those of the candidates.  `rows` gives the maps'
     value rows in ids, turning the plan's register program into id
-    arrays at its first call, and `as_refs` turns one into simplices
-    through `levels`, made at its first call too; rows sort like
-    map_key.  A scan that hands back no map makes neither.  `_plans`,
-    internal, gives the search plan for
-    the frozenset of pinned names, for scans that build one plan per
-    shape (default: _search_plan of A).
+    arrays at its first call; rows sort like map_key, and
+    maps_of_rows makes maps of them.  A scan that hands back no map
+    makes no simplex of B.  `_plans`, internal, gives the search plan
+    for the frozenset of pinned names, for scans that build one plan
+    per shape (default: _search_plan of A).
     """
 
     def __init__(self, A, B, fixed=None, constrain=None, *, _plans=None):
@@ -1007,7 +1007,6 @@ class MapSearch:
             if r.dim != A.gen_dim[g]:
                 raise ValueError(f"fixed assignment for '{g}' has wrong dimension")
         self.source, self.target, self.constrain = A, B, constrain
-        self.flat = [g for level in A.gens for g in level]
         pins = _closed_pins(A, B, fixed)
         if pins is not None and constrain is not None and not all(constrain(g, r) for g, r in pins.items()):
             pins = None
@@ -1017,7 +1016,7 @@ class MapSearch:
         self.pins = [numbered_level(B, A.gen_dim[g]).id_of(pins[g]) for g in names]
         # the level of each slot's value: the pins', then the cells' in search order
         self._dims = [A.gen_dim[g] for g in names] + [step[0] for step in self.steps]
-        self._plan_program, self._program, self._levels = program, None, None
+        self._plan_program, self._program = program, None
 
     def _lookups(self):
         """Per step its table, its ties as (slot, reader), and the filter of its candidates or None.
@@ -1098,16 +1097,6 @@ class MapSearch:
             regs.append(list(map(a.__getitem__, regs[src])))
         return _transposed(count, [regs[r] for r in self.out])
 
-    def levels(self):
-        """Per generator of A in declaration order, the simplices of the level its values lie in."""
-        if self._levels is None:
-            self._levels = [simplices(self.target, self.source.gen_dim[g]) for g in self.flat]
-        return self._levels
-
-    def as_refs(self, row):
-        """A row of this search as simplices."""
-        return tuple(map(getitem, self.levels(), row))
-
     def first(self, tops, found):
         """The (map, payload) of the (row number, payload) pairs in `found` whose map is listed first.
 
@@ -1119,8 +1108,7 @@ class MapSearch:
         picked = [i for i, _ in found]
         rows = list(self.rows(len(found), [list(map(c.__getitem__, picked)) for c in tops]))
         best = min(range(len(rows)), key=rows.__getitem__)
-        values = map(getitem, self.levels(), rows[best])
-        return SimplicialMap(self.source, self.target, zip(self.flat, values)), found[best][1]
+        return maps_of_rows(self.source, self.target, rows[best:best + 1])[0], found[best][1]
 
 
 def _transposed(count, cols):
@@ -1135,19 +1123,14 @@ def _fits(checks, constrain, new, x):
     )
 
 
-def _sorted_rows(A, B, fixed, limit, constrain):
-    """The search of A -> B, and the id rows of its maps, sorted (so like map_key), the first `limit`."""
-    search = MapSearch(A, B, fixed, constrain)
-    return search, sorted(search.rows(*search.join()))[:limit]
-
-
 def map_rows(A, B, fixed=None, limit=None, constrain=None):
-    """The maps of enumerate_maps as value rows: values on A's generators in declaration order.
+    """The maps of enumerate_maps as value rows: the ids of their values on A's generators in declaration order.
 
+    A value on a dimension-n generator is an id of numbered_level(B, n).
     Rows sort like map_key, so the list is enumerate_maps' order.
     """
-    search, rows = _sorted_rows(A, B, fixed, limit, constrain)
-    return list(map(search.as_refs, rows))
+    search = MapSearch(A, B, fixed, constrain)
+    return sorted(search.rows(*search.join()))[:limit]
 
 
 def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
@@ -1160,15 +1143,14 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
     before it.  Output is sorted by map_key, independent of the search;
     `limit` keeps the first `limit` maps, the smallest.
     """
-    search, rows = _sorted_rows(A, B, fixed, limit, constrain)
-    levels, flat = search.levels(), search.flat
-    return [SimplicialMap(A, B, zip(flat, map(getitem, levels, row))) for row in rows]
+    return maps_of_rows(A, B, map_rows(A, B, fixed, limit, constrain))
 
 
 def maps_of_rows(A, B, rows):
-    """The SimplicialMaps from A to B with these value rows, in order."""
+    """The SimplicialMaps from A to B with these id rows (map_rows), in order; the one place rows become maps."""
     flat = [g for level in A.gens for g in level]
-    return [SimplicialMap(A, B, zip(flat, row)) for row in rows]
+    levels = [simplices(B, A.gen_dim[g]) for g in flat]
+    return [SimplicialMap(A, B, zip(flat, map(getitem, levels, row))) for row in rows]
 
 
 def map_key(f):

@@ -8,9 +8,11 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsimp import limits
 from finsimp.categories import chain_category, join_categories, nerve
 from finsimp.constructions import (
     Cone,
+    _cone_rows,
     _product_ref,
     coslice_data,
     coslice_under,
@@ -41,6 +43,7 @@ from finsimp.simplicial import (
     face,
     find_isomorphism,
     identity_map,
+    maps_of_rows,
     simplex_boundary,
     simplices,
     standard_simplex,
@@ -331,6 +334,21 @@ def test_slice_over_a_vertex_of_the_triangle():
     # the slice counts every level as raw pinned-map enumeration
     for n in range(3):
         assert len(simplices(sl, n)) == len(levels[n]), n
+
+
+def test_slices_coslices_and_mapping_spaces_keep_their_levels_as_id_rows(monkeypatch):
+    N = nerve(chain_category(2), 3)
+    p = vertex_inclusion(N, "1")
+    for under, data in [(False, slice_data), (True, coslice_data)]:
+        _, shape, levels = _cone_rows(p, 2, under)
+        assert all(levels) and all(type(x) is int for rows in levels for row in rows for x in row)
+        assert [maps_of_rows(shape(n), N, rows) for n, rows in enumerate(levels)] == data(p, 2)[1]
+    built = []
+    family_maps = limits._family_maps
+    monkeypatch.setattr(limits, "_family_maps", lambda *args: built.append(family_maps(*args)) or built[-1])
+    mapping_space(N, "0", "2", 1)
+    ((_, levels),) = built
+    assert all(levels) and all(type(x) is int for rows in levels for row in rows for x in row)
 
 
 def test_slice_faces_are_consistent():

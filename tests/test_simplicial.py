@@ -34,6 +34,7 @@ from finsimp.simplicial import (
     identity_map,
     insert_degeneracy,
     map_rows,
+    maps_of_rows,
     numbered_level,
     ref_key,
     rename_generators,
@@ -392,6 +393,17 @@ def test_levels_turn_single_ids_into_simplices_and_back_without_listing_them(cor
             assert all(level.id_of(r) is None for r in simplices(M, n + 1)[:3])
 
 
+def test_a_level_refuses_ids_outside_its_range_before_and_after_listing_its_simplices():
+    D = standard_simplex(2)
+    level = numbered_level(SimplicialSet(D.gens, D.face_table), 1)
+    for listed in (False, True):
+        assert (level._refs is not None) == listed
+        for z in (-1, level.size):
+            with pytest.raises(IndexError):
+                level.ref(z)
+        level.refs
+
+
 def test_numbered_levels_match_the_face_and_degeneracy_calculus(corpus):
     # ids follow simplices(S, n); every d_k and s_j array entry is face or word_apply on refs
     for _, C, _ in corpus:
@@ -423,9 +435,10 @@ def test_id_rows_sort_like_their_ref_rows(A, B):
     search = MapSearch(A, B)
     rows = list(search.rows(*search.join()))
     assert all(isinstance(x, int) for row in rows for x in row)
-    refs = [search.as_refs(row) for row in rows]
+    flat = [g for level in A.gens for g in level]
+    refs = [tuple(F.assign[g] for g in flat) for F in maps_of_rows(A, B, rows)]
     assert sorted(range(len(rows)), key=rows.__getitem__) == sorted(range(len(refs)), key=refs.__getitem__)
-    assert sorted(refs) == [tuple(f.assign[g] for g in search.flat) for f in reference_maps(A, B)]
+    assert sorted(refs) == [tuple(f.assign[g] for g in flat) for f in reference_maps(A, B)]
 
 
 def test_validate_accepts_standard_family():
