@@ -262,13 +262,13 @@ def functor_groupoid(H, G):
     mor_pos = {m: p for p, m in enumerate(G.morphisms)}
     # a functor is its object images over H.objects, then its images of H's non-identities;
     # a degenerate edge value is the identity of its vertex
-    NG = nerve(G, 2)
-    vertices, edges = simplices(NG, 0), simplices(NG, 1)
+    N = nerve(G, 2)
+    vertices, edges = simplices(N, 0), simplices(N, 1)
     functors = sorted(
         (
             tuple(vertices[z].gen for z in row[:k])
             + tuple(G.identities[r.gen] if r.word else r.gen for r in map(edges.__getitem__, row[k:k + len(nonid)]))
-            for row in map_rows(nerve(H, 2), NG)
+            for row in map_rows(nerve(H, 2), N)
         ),
         key=lambda f: [obj_pos[a] for a in f[:k]] + [mor_pos[m] for m in f[k:]],
     )

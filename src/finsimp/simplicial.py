@@ -31,9 +31,10 @@ n-simplices (face_id_index) and of generators (_generator_index,
 read by face_lookup), so lookups index lists instead of rewriting
 words; face rewrites single simplices and keeps no memo.  Searches
 hand maps back as id rows (map_rows), and only maps_of_rows makes
-simplices of those.  Else simplices are made only at the boundary: pins
-taken in, the candidates a search's `constrain` is asked about, and
-face_index, a table turned into simplices for callers outside.
+simplices of those.  Otherwise simplices are made only at the
+boundary: pins taken in, the candidates a search's `constrain` is
+asked about, and face_index, a table turned into simplices for
+callers outside.
 
 The `truncated` flag marks sets that are honest windows onto a larger
 object (e.g. a nerve cut below its longest chain).  Constructions that
