@@ -31,7 +31,8 @@ n-simplices (face_id_index) and of generators (_generator_index,
 read by face_lookup), so lookups index lists instead of rewriting
 words; face rewrites single simplices and keeps no memo.  Searches
 hand maps back as id rows (map_rows), and only maps_of_rows makes
-simplices of those.  Otherwise simplices are made only at the
+simplices of those: its maps keep their rows and make their `assign`
+dicts on first read.  Otherwise simplices are made only at the
 boundary: pins taken in, the candidates a search's `constrain` is
 asked about, and face_index, a table turned into simplices for
 callers outside.
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from operator import getitem
 from typing import NamedTuple
 
@@ -718,7 +719,9 @@ class SimplicialMap:
 
     `assign` sends each generator of the source to a simplex of the
     target of the same dimension; the unique extension to degenerate
-    simplices is `apply`.
+    simplices is `apply`.  A map made by maps_of_rows keeps its id row
+    and the generator names and target levels it shares with its
+    sibling maps instead, and makes `assign` when it is first read.
     """
 
     def __init__(self, source, target, assign):
@@ -726,6 +729,13 @@ class SimplicialMap:
         self.target = target
         self.assign = dict(assign)
         self._key = None
+
+    @cached_property
+    def assign(self):
+        # only maps of maps_of_rows get here: __init__'s dict shadows this
+        assign = dict(zip(self._flat, map(getitem, self._levels, self._row)))
+        del self._flat, self._levels, self._row
+        return assign
 
     def apply(self, ref):
         return word_apply(ref.word, self.assign[ref.gen])
@@ -1130,6 +1140,8 @@ def map_rows(A, B, fixed=None, limit=None, constrain=None):
     A value on a dimension-n generator is an id of numbered_level(B, n).
     Rows sort like map_key, so the list is enumerate_maps' order.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, not {limit}")
     search = MapSearch(A, B, fixed, constrain)
     return sorted(search.rows(*search.join()))[:limit]
 
@@ -1148,10 +1160,20 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
 
 
 def maps_of_rows(A, B, rows):
-    """The SimplicialMaps from A to B with these id rows (map_rows), in order; the one place rows become maps."""
+    """The SimplicialMaps from A to B with these id rows (map_rows), in order; the one place rows become maps.
+
+    Each map keeps its row, and the generator names and target levels
+    shared by all the maps of one call, until its `assign` is read.
+    """
     flat = [g for level in A.gens for g in level]
     levels = [simplices(B, A.gen_dim[g]) for g in flat]
-    return [SimplicialMap(A, B, zip(flat, map(getitem, levels, row))) for row in rows]
+    maps = []
+    for row in rows:
+        f = SimplicialMap.__new__(SimplicialMap)
+        f.source, f.target, f._key = A, B, None
+        f._flat, f._levels, f._row = flat, levels, row
+        maps.append(f)
+    return maps
 
 
 def map_key(f):

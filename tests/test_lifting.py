@@ -165,6 +165,20 @@ def test_solve_lift_unsolvable():
     assert solve_lift(problem, find_all=True) == []
 
 
+def test_solve_lift_without_find_all_is_the_first_of_all_lifts():
+    # the three edges of B Z3 fill the boundary of an edge; the first in map_key order is kept
+    X = nerve(one_object_groupoid(cyclic_group(3)), 2)
+    B, incl = simplex_boundary(1)
+    p = constant_map(X, standard_simplex(0), "0")
+    top = constant_map(B, X, X.gens[0][0])
+    bottom = constant_map(standard_simplex(1), standard_simplex(0), "0")
+    problem = LiftingProblem(incl, p, top, bottom)
+    assert problem.validate() == []
+    sols = solve_lift(problem, find_all=True)
+    assert len(sols) == 3
+    assert solve_lift(problem) == sols[0] == enumerate_maps(incl.target, X, fixed=top.assign, limit=1)[0]
+
+
 def test_lifting_problem_validation_catches_non_commuting_squares():
     S = standard_simplex(1)
     H, incl = horn(1, 0)

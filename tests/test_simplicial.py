@@ -33,6 +33,7 @@ from finsimp.simplicial import (
     horn,
     identity_map,
     insert_degeneracy,
+    map_key,
     map_rows,
     maps_of_rows,
     numbered_level,
@@ -653,6 +654,37 @@ def test_enumerate_maps_matches_the_reference_search(A, B, data):
         assert assigns(enumerate_maps(A, B, **kwargs)) == assigns(want)
         assert assigns(enumerate_maps(A, B, limit=1, **kwargs)) == assigns(want[:1])
         assert_join_matches_the_depth_first_loop(MapSearch(A, B, **kwargs))
+
+
+def test_enumerated_maps_make_their_assignments_on_first_read():
+    # every reader of a map made from a row (==, hash, validate, map_key, assign) sees the map made from a dict
+    readers = [
+        lambda f: (f, hash(f)),
+        lambda f: (f.validate(), map_key(f)),
+        lambda f: f.assign,
+    ]
+    G = one_object_groupoid(symmetric_group(3))
+    for n in (1, 2, 3):
+        N = nerve(G, n)
+        for i in range(n + 1):
+            A = horn(n, i)[0]
+            want = [SimplicialMap(A, N, f.assign) for f in reference_maps(A, N)]
+            assert want
+            for read in readers:
+                maps = enumerate_maps(A, N)
+                assert not any("assign" in vars(f) for f in maps)
+                assert [read(f) for f in maps] == [read(f) for f in want]
+                assert all("assign" in vars(f) and "_row" not in vars(f) for f in maps)
+            assert all(f.validate() == [] for f in want)
+
+
+def test_a_negative_limit_is_refused():
+    A, B = standard_simplex(1), standard_simplex(2)
+    assert len(enumerate_maps(A, B)) == 6
+    for search in (map_rows, enumerate_maps):
+        with pytest.raises(ValueError):
+            search(A, B, limit=-1)
+        assert search(A, B, limit=0) == []
 
 
 def test_enumeration_pins_the_faces_of_a_pinned_generator():
