@@ -423,7 +423,7 @@ def nerve_detect(S, depth=4):
         raise TruncationError(
             f"cannot certify to depth {depth}: set is a window truncated at {S.bound}"
         )
-    unique = horn_scan(S, depth, True, lambda fillers: len(fillers) == 1)
+    unique = horn_scan(S, depth, True, True)
     if not unique.holds:
         n, i = unique.witness.n, unique.witness.i
         if unique.count == 0:

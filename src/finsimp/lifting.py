@@ -5,12 +5,22 @@ map is a tuple of compatible facet values, one row of the join of the
 top-cell map search (simplicial.MapSearch), a filler is a simplex
 whose faces match it, and fibration checks enumerate commuting squares
 against horn or boundary inclusions and search for diagonal lifts.
-Each such check is the one scan of _unfilled.  It reads the facet
+
+The horn checks decide each (n, i) by counting first.  Restricting an
+n-simplex to its facets d_k, k != i, is a map K_n -> Hom(horn(n, i), K),
+so every horn map fills exactly when the n-simplices have as many
+distinct facet tuples as there are horn maps, and every horn map has
+exactly one filler when |K_n| is that number too.  The horn maps are
+counted by the rows of the search's join, and the facet tuples as one
+set of packed ints (_restrictions), dropped after counting, so a check
+that holds files no table of n-simplices.  Only an (n, i) whose counts
+differ is scanned, by the one scan of _unfilled.  It reads the facet
 values column by column and files fillers by the ids of their facets
 d_k, k ascending, the key order of MapSearch's own tables, so the two
 share them; its search plans are built once per shape (_scan_plan).
-A full SimplicialMap is built only for a witness: the failing map
-that enumerate_maps would list first (MapSearch.first).
+Fibration and finality checks are that scan only.  A full
+SimplicialMap is built only for a witness: the failing map that
+enumerate_maps would list first (MapSearch.first).
 
 Checks on a truncated window refuse to look past its bound; on a
 complete set any depth is allowed because everything above the bound
@@ -20,6 +30,8 @@ is degenerate.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .simplicial import (
@@ -105,20 +117,40 @@ def _scan_plan(n, skip, pinned):
     return _search_plan(_facets(n, skip)[0], pinned)
 
 
-def _unfilled(K, n, skip, fails, fixed=None):
+def _joined(K, n, skip, fixed=None):
+    """(search, count, tops): the MapSearch of the maps out of _facets(n, skip)'s shape into K, and its join."""
+    search = MapSearch(_facets(n, skip)[0], K, fixed, _plans=partial(_scan_plan, n, skip))
+    return search, *search.join()
+
+
+def _unfilled(K, n, skip, fails, fixed=None, joined=None):
     """(map, payload) of the first map out of _facets(n, skip) into K, agreeing with `fixed`, that fails.
 
     fails(key, fillers) gets the ids of a map's facet values, k
     ascending, and of their fillers in K (face_id_index), and returns
     None for a map that passes.  None if all do.  The keys are read
-    column by column off the search's join.
+    column by column off the search's join; `joined` is that search and
+    join (_joined) when the caller has run them already.
     """
-    shape, positions = _facets(n, skip)
-    get = face_id_index(K, n, positions).get
-    search = MapSearch(shape, K, fixed, _plans=partial(_scan_plan, n, skip))
-    _, tops = search.join()
+    get = face_id_index(K, n, _facets(n, skip)[1]).get
+    search, _, tops = joined or _joined(K, n, skip, fixed)
     found = [(i, out) for i, k in enumerate(zip(*tops[::-1])) if (out := fails(k, get(k, ()))) is not None]
     return search.first(tops, found)
+
+
+def _restrictions(K, n, skip):
+    """How many distinct tuples of facets d_k, k != skip, the n-simplices of K have.
+
+    Each tuple is packed into one int, the facet ids as the digits of a
+    mixed radix whose base is the size of level n - 1, and the ints are
+    counted as one set, dropped on return.
+    """
+    faces, base = numbered_level(K, n).faces, numbered_level(K, n - 1).size
+    cols = [faces[k] for k in range(n + 1) if k != skip]
+    packed = cols[0]
+    for col in cols[1:]:
+        packed = map(add, map(mul, packed, repeat(base)), col)
+    return len(set(packed))
 
 
 def matching_simplices(K, assign, n, skip=None):
@@ -165,38 +197,44 @@ def _horn_shapes(N, inner):
             yield n, i
 
 
-def horn_scan(K, N, inner, ok):
-    """Check that every horn map into K up to dimension N has fillers passing `ok`.
+def horn_scan(K, N, inner, unique):
+    """Check that every horn map into K up to dimension N has a filler, or exactly one when `unique` is set.
 
     Scans all horns, or only the inner ones (0 < i < n) when `inner` is
-    set, n ascending, then i ascending.  The witness of a failure is the
-    first map in horn_maps order, within the first failing (n, i), whose
-    fillers fail ok(fillers), and `count` its number of fillers; `ok`
-    gets the fillers' ids (face_id_index).
+    set, n ascending, then i ascending.  An (n, i) holds when its horn
+    maps, the distinct facet tuples of the n-simplices and, for
+    `unique`, the n-simplices are equally many; else the scan of
+    _unfilled looks for the witness: the first map in horn_maps order
+    whose fillers are none (or not exactly one), with `count` its number
+    of fillers.
     """
+    ok = (lambda zs: len(zs) == 1) if unique else bool
     for n, i in _horn_shapes(N, inner):
-        found = _unfilled(K, n, i, lambda _, zs: None if ok(zs) else len(zs))
-        if found is not None:
-            return CheckResult(False, HornMap(n, i, found[0]), N, found[1])
+        tuples = _restrictions(K, n, i)
+        joined = _joined(K, n, i)
+        if joined[1] == tuples and (not unique or tuples == numbered_level(K, n).size):
+            continue
+        found = _unfilled(K, n, i, lambda _, zs: None if ok(zs) else len(zs), joined=joined)
+        return CheckResult(False, HornMap(n, i, found[0]), N, found[1])
     return CheckResult(True, None, N)
 
 
 def is_kan(K, N):
     """Every horn map up to dimension N has a filler."""
     check_depth(N, "Kan check", K)
-    return horn_scan(K, N, False, bool)
+    return horn_scan(K, N, False, False)
 
 
 def is_quasicategory(K, N):
     """Every inner horn map (0 < i < n) up to dimension N has a filler."""
     check_depth(N, "quasi-category check", K)
-    return horn_scan(K, N, True, bool)
+    return horn_scan(K, N, True, False)
 
 
 def has_unique_inner_fillers(K, N):
     """Every inner horn map up to dimension N has exactly one filler."""
     check_depth(N, "unique-filler check", K)
-    return horn_scan(K, N, True, lambda fillers: len(fillers) == 1)
+    return horn_scan(K, N, True, True)
 
 
 def solve_lift(problem, find_all=False):

@@ -32,7 +32,7 @@ read by face_lookup), so lookups index lists instead of rewriting
 words; face rewrites single simplices and keeps no memo.  Searches
 hand maps back as id rows (map_rows), and only maps_of_rows makes
 simplices of those: its maps keep their rows and make their `assign`
-dicts on first read.  Otherwise simplices are made only at the
+dicts, and the target levels' simplices, on first read.  Otherwise simplices are made only at the
 boundary: pins taken in, the candidates a search's `constrain` is
 asked about, and face_index, a table turned into simplices for
 callers outside.
@@ -666,9 +666,13 @@ def horn(n, i):
 
 
 def _sub_inclusion(A, B):
-    """Inclusion of a subcomplex whose generator names match B's."""
-    assign = {g: B.generator(g) for level in A.gens for g in level}
-    return SimplicialMap(A, B, assign)
+    """Inclusion of a subcomplex whose generator names match B's; its `assign` is made on first read."""
+    return _lazy_map(A, B, _generators_of, None)
+
+
+def _generators_of(A, B, _):
+    """Each generator of A sent to B's generator of the same name."""
+    return {g: B.generator(g) for level in A.gens for g in level}
 
 
 def discrete_simplicial_set(names, bound=0):
@@ -719,9 +723,9 @@ class SimplicialMap:
 
     `assign` sends each generator of the source to a simplex of the
     target of the same dimension; the unique extension to degenerate
-    simplices is `apply`.  A map made by maps_of_rows keeps its id row
-    and the generator names and target levels it shares with its
-    sibling maps instead, and makes `assign` when it is first read.
+    simplices is `apply`.  A map made by _lazy_map (maps_of_rows, the
+    horn and boundary inclusions) keeps a maker and its row instead,
+    and makes `assign` when it is first read.
     """
 
     def __init__(self, source, target, assign):
@@ -732,9 +736,9 @@ class SimplicialMap:
 
     @cached_property
     def assign(self):
-        # only maps of maps_of_rows get here: __init__'s dict shadows this
-        assign = dict(zip(self._flat, map(getitem, self._levels, self._row)))
-        del self._flat, self._levels, self._row
+        # only maps of _lazy_map get here: __init__'s dict shadows this
+        assign = self._make(self.source, self.target, self._row)
+        del self._make, self._row
         return assign
 
     def apply(self, ref):
@@ -1162,18 +1166,28 @@ def enumerate_maps(A, B, fixed=None, limit=None, constrain=None):
 def maps_of_rows(A, B, rows):
     """The SimplicialMaps from A to B with these id rows (map_rows), in order; the one place rows become maps.
 
-    Each map keeps its row, and the generator names and target levels
-    shared by all the maps of one call, until its `assign` is read.
+    Each map keeps its row, and a maker shared by all the maps of one
+    call, until its `assign` is read.  The maker makes the target levels
+    of A's generators (simplices(B, n)) at the first read of any of the
+    maps, so maps whose values are never read make no simplex.
     """
     flat = [g for level in A.gens for g in level]
-    levels = [simplices(B, A.gen_dim[g]) for g in flat]
-    maps = []
-    for row in rows:
-        f = SimplicialMap.__new__(SimplicialMap)
-        f.source, f.target, f._key = A, B, None
-        f._flat, f._levels, f._row = flat, levels, row
-        maps.append(f)
-    return maps
+    levels = []
+
+    def values(A, B, row):
+        if len(levels) < len(flat):
+            levels[:] = [simplices(B, A.gen_dim[g]) for g in flat]
+        return dict(zip(flat, map(getitem, levels, row)))
+
+    return [_lazy_map(A, B, values, row) for row in rows]
+
+
+def _lazy_map(A, B, make, row):
+    """The map from A to B whose `assign` is make(A, B, row), made on its first read."""
+    f = SimplicialMap.__new__(SimplicialMap)
+    f.source, f.target, f._key = A, B, None
+    f._make, f._row = make, row
+    return f
 
 
 def map_key(f):

@@ -13,8 +13,13 @@ the search, and it counts the search nodes per depth.
 reference_isomorphism is the search find_isomorphism ran before it
 went on ids: generator by generator, candidates looked up by face
 tuple in face_index.  Same isomorphism, or None.
+
+scanned_horns is lifting.horn_scan before it decided a horn by
+counting: every (n, i) scanned by _unfilled against its filler table.
+Same CheckResult, witness and count included.
 """
 
+from finsimp.lifting import CheckResult, HornMap, _horn_shapes, _unfilled
 from finsimp.simplicial import (
     SimplexRef,
     SimplicialMap,
@@ -280,3 +285,19 @@ def reference_isomorphism(A, B):
                 return None
     assign = {g: SimplexRef((), phi[g], A.gen_dim[g]) for g in flat}
     return SimplicialMap(A, B, assign)
+
+
+def scanned_horns(K, N, inner, unique):
+    """Whether every horn map into K up to dimension N has a filler, or exactly one for `unique`, by scanning.
+
+    The horns are all of them, or the inner ones for `inner`, n
+    ascending, then i ascending.  Each (n, i) is scanned for the first
+    map, in horn_maps order, whose fillers are none (or not one); the
+    result is lifting.horn_scan's.
+    """
+    ok = (lambda zs: len(zs) == 1) if unique else bool
+    for n, i in _horn_shapes(N, inner):
+        found = _unfilled(K, n, i, lambda _, zs: None if ok(zs) else len(zs))
+        if found is not None:
+            return CheckResult(False, HornMap(n, i, found[0]), N, found[1])
+    return CheckResult(True, None, N)

@@ -40,12 +40,17 @@ def small_simplicial_sets(draw):
 
 
 @st.composite
+def small_perm_groups(draw, max_degree=3):
+    """perm_group of degree 1 to max_degree on 0 to 2 random permutations."""
+    degree = draw(st.integers(1, max_degree))
+    return perm_group(degree, draw(st.lists(st.permutations(range(degree)), max_size=2)))
+
+
+@st.composite
 def _groupoid_pieces(draw):
-    """A one-object groupoid of a perm_group of degree <= 3 on 1-2 random generators, or a discrete one."""
+    """A one-object groupoid of a small_perm_groups group, or a discrete one."""
     if draw(st.booleans()):
-        degree = draw(st.integers(1, 3))
-        gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
-        return one_object_groupoid(perm_group(degree, gens))
+        return one_object_groupoid(draw(small_perm_groups()))
     return as_groupoid(discrete_category([f"o{j}" for j in range(draw(st.integers(0, 2)))]))
 
 
@@ -78,16 +83,40 @@ def small_posets(draw, max_points=4):
     return poset_category(names, leq), leq
 
 
-@st.composite
-def _cyclic_monoids(draw):
-    """The one-object category of the monoid generated by one self-map of {0, 1, 2}."""
-    f = tuple(draw(st.lists(st.integers(0, 2), min_size=3, max_size=3)))
-    powers = [(0, 1, 2)]
-    while (nxt := tuple(f[x] for x in powers[-1])) not in powers:
-        powers.append(nxt)
-    name = {g: "m" + "".join(map(str, g)) for g in powers}
-    mul = {(name[g], name[h]): name[tuple(g[x] for x in h)] for g in powers for h in powers}
+def _self_maps():
+    return st.lists(st.integers(0, 2), min_size=3, max_size=3).map(tuple)
+
+
+def _monoid_of(maps):
+    """The one-object category of the monoid of self-maps of {0, 1, 2} that `maps` generate.
+
+    Its elements are listed breadth first from the identity, each
+    element composed with every map in turn; for one map, its powers.
+    """
+    elements = [(0, 1, 2)]
+    for g in elements:  # the list grows as it is read
+        for f in maps:
+            if (fg := tuple(f[x] for x in g)) not in elements:
+                elements.append(fg)
+    name = {g: "m" + "".join(map(str, g)) for g in elements}
+    mul = {(name[g], name[h]): name[tuple(g[x] for x in h)] for g in elements for h in elements}
     return monoid_category("pt", list(name.values()), name[(0, 1, 2)], mul)
+
+
+def _cyclic_monoids():
+    """The one-object category of the monoid generated by one self-map of {0, 1, 2}."""
+    return _self_maps().map(lambda f: _monoid_of([f]))
+
+
+def small_monoids(max_size=8):
+    """The one-object category of the monoid generated by two self-maps of {0, 1, 2}, of at most max_size elements.
+
+    Two maps generate up to 24 elements; about three draws in four
+    have at most 8.
+    """
+    return st.lists(_self_maps(), min_size=2, max_size=2).map(_monoid_of).filter(
+        lambda C: len(C.morphisms) <= max_size
+    )
 
 
 def small_categories():

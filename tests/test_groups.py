@@ -1,8 +1,10 @@
 """Group tables, permutation groups, cosets, one-object groupoids."""
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given
 
 from finsimp.categories import validate_category
 from finsimp.groups import (
@@ -19,6 +21,7 @@ from finsimp.groups import (
     symmetric_group,
     validate_group,
 )
+from strategies import small_perm_groups
 
 
 def test_cyclic_groups_are_valid():
@@ -105,3 +108,14 @@ def test_perm_group_table_matches_composition():
         want = {(a, b): _perm_name(_compose_perm(perms[a], perms[b])) for a in G.elements for b in G.elements}
         assert G.mul == want
         assert list(G.mul) == list(want)
+
+
+@given(small_perm_groups(4))
+def test_perm_groups_on_random_generators_are_subgroups_of_the_symmetric_group(G):
+    # a subgroup of S_n with its product; Lagrange: its order divides n!
+    degree = len(G.unit) - 1  # elements are named "p" and their images
+    S = symmetric_group(degree)
+    assert validate_group(G) == []
+    assert math.factorial(degree) % len(G.elements) == 0
+    assert is_subgroup(S, G.elements)
+    assert all(G.mul[pair] == S.mul[pair] for pair in itertools.product(G.elements, repeat=2))

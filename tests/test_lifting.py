@@ -7,7 +7,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from finsimp.categories import chain_category, is_groupoid, nerve, nerve_detect
 from finsimp.dsl import parse_document
@@ -24,10 +24,14 @@ from finsimp.lifting import (
     is_kan_fibration,
     is_quasicategory,
     is_trivial_fibration,
+    _joined,
+    _restrictions,
     matching_simplices,
     solve_lift,
 )
 from finsimp.simplicial import (
+    MapSearch,
+    SimplicialSet,
     TruncationError,
     codegeneracy_map,
     compose,
@@ -40,7 +44,8 @@ from finsimp.simplicial import (
     truncate,
 )
 from finsimp.limits import is_final, is_initial
-from strategies import small_simplicial_sets
+from reference_search import scanned_horns
+from strategies import small_categories, small_groupoids, small_monoids, small_simplicial_sets
 from witness_check import check_horn_witness, check_sphere_witness, check_square_witness, scan_fillers
 
 EXTRA = parse_document(
@@ -357,16 +362,76 @@ def test_matching_simplices_matches_the_linear_scan_on_generated_sets(K):
 
 
 def test_kan_scan_files_the_tables_of_the_map_search():
-    # horn fillers are filed by facets k ascending, the tables the map search files one
-    # level up, so the scan and the searches share them; keys k descending file 32 tables.
-    # Both run on ids, so the tables hold ints
-    N = nerve(one_object_groupoid(symmetric_group(3)), 4)
+    # a horn (n, i) that holds is decided by counting, so a Kan check that holds files no
+    # table of its top level: only the tables one level down that the searches of its horn
+    # maps join on.  They run on ids, so the tables hold ints
+    G = one_object_groupoid(symmetric_group(3))
+    N = nerve(G, 4)
     assert is_kan(N, 4)
-    assert len(N._index_memo) == 25
-    assert sum(len(zs) for table in N._index_memo.values() for zs in table.values()) == 8875
+    assert max(n for n, _ in N._index_memo) == 3
+    searched = nerve(G, 4)
+    for n, i in ((n, i) for n in range(1, 5) for i in range(n + 1)):
+        MapSearch(horn(n, i)[0], searched).join()
+    assert set(N._index_memo) == set(searched._index_memo)
+    assert len(N._index_memo) == 20
     assert all(
         type(x) is int for table in N._index_memo.values() for key, zs in table.items() for x in (*key, *zs)
     )
+
+
+# --- counting verdicts: the horn checks against the scan they replaced -----------
+
+def assert_counts_agree_with_the_scan(K, N):
+    # verdict, witness, count and depth: a failing (n, i) is scanned as before, and
+    # an (n, i) that holds by counting must hold by scanning
+    for check, inner, unique in [(is_kan, False, False), (is_quasicategory, True, False),
+                                 (has_unique_inner_fillers, True, True)]:
+        assert check(K, N) == scanned_horns(K, N, inner, unique), check.__name__
+
+
+def without_a_top_generator(S, pick):
+    """S as a window without one generator of its highest non-empty level (the pick-th, cyclically); None if S is empty."""
+    top = next((level for level in reversed(S.gens) if level), None)
+    if top is None:
+        return None
+    g = top[pick % len(top)]
+    faces = {h: refs for h, refs in S.face_table.items() if h != g}
+    return SimplicialSet([[h for h in level if h != g] for level in S.gens], faces, truncated=True)
+
+
+GENERATED = {
+    "categories": small_categories(),
+    "monoids": small_monoids(),
+    "groupoids": small_groupoids(),  # of perm_groups on random generators, and discrete
+}
+
+
+@pytest.mark.parametrize("family", GENERATED)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_counting_verdicts_equal_the_scan_on_generated_nerves(family, data):
+    K = nerve(data.draw(GENERATED[family]), 4)
+    assert_counts_agree_with_the_scan(K, data.draw(st.integers(1, 4)))
+    # a nerve window one top simplex short: the horn of its facets has no filler
+    planted = without_a_top_generator(K, data.draw(st.integers(0, 99)))
+    if planted is not None:
+        assert_counts_agree_with_the_scan(planted, 4)
+
+
+@settings(max_examples=40)
+@given(small_simplicial_sets(), st.integers(1, 3))
+def test_counting_verdicts_equal_the_scan_on_generated_sets(K, N):
+    # repeated triangles give horns with several fillers, so unique fillers fail by count
+    assert_counts_agree_with_the_scan(K, N)
+
+
+def test_a_planted_failure_is_found_by_the_scan_of_its_horn():
+    K = without_a_top_generator(nerve(one_object_groupoid(symmetric_group(3)), 3), 0)
+    assert (_restrictions(K, 3, 1), _joined(K, 3, 1)[1], len(K.gens[3])) == (215, 216, 124)
+    res = has_unique_inner_fillers(K, 3)
+    assert (res.holds, res.witness.n, res.witness.i, res.count) == (False, 3, 1, 0)
+    assert not is_kan(K, 3) and not is_quasicategory(K, 3)
+    assert_counts_agree_with_the_scan(K, 3)
 
 
 def assert_lazy(N, handed_back=()):
@@ -393,8 +458,9 @@ def test_scans_make_no_simplices_of_the_levels_they_do_not_hand_back():
 
 
 def test_nerve_detect_reads_the_tables_of_its_inner_horn_scan():
-    # the composite lookup reads the (2, 1) scan's table and the isomorphism check the
-    # generator index, so nerve_detect files no id table the unique-filler scan does not
+    # the composite lookup reads the table the (3, i) horn searches join on and the
+    # isomorphism check the generator index, so nerve_detect files no id table the
+    # unique-filler check does not
     G = one_object_groupoid(symmetric_group(3))
     N = nerve(G, 3)
     assert has_unique_inner_fillers(N, 3)
@@ -402,7 +468,8 @@ def test_nerve_detect_reads_the_tables_of_its_inner_horn_scan():
     N = nerve(G, 3)
     assert nerve_detect(N, 3).category is not None
     assert set(N._index_memo) == scan
-    assert len(scan) == 8
+    # the unique-filler check that holds files no table of level 3, its top level
+    assert len(scan) == 6 and max(n for n, _ in scan) == 2
     for memo in (N._index_memo, N._gen_index_memo):
         for table in memo.values():
             assert all(type(x) is int for key, zs in table.items() for x in (*key, *zs))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from finsimp.categories import nerve, poset_category
 from finsimp.constructions import slice_over
 from finsimp.groups import cyclic_group, one_object_groupoid, symmetric_group
-from finsimp.lifting import HornMap, horn_maps
+from finsimp.lifting import HornMap, horn_maps, is_kan
 from finsimp.simplicial import (
     EMPTY,
     DimensionError,
@@ -676,6 +676,33 @@ def test_enumerated_maps_make_their_assignments_on_first_read():
                 assert [read(f) for f in maps] == [read(f) for f in want]
                 assert all("assign" in vars(f) and "_row" not in vars(f) for f in maps)
             assert all(f.validate() == [] for f in want)
+
+
+def test_enumerated_maps_make_the_target_levels_on_first_read():
+    # the maps of one enumeration share one maker of the target levels: no map whose
+    # values are unread makes a simplex, and the first read makes the levels for all
+    G = one_object_groupoid(symmetric_group(3))
+    A, N = standard_simplex(3), nerve(G, 3)
+    maps = enumerate_maps(A, N)
+    assert len(maps) == 216 and sorted(N._level_memo) == [0, 1, 2, 3]
+    assert all(level._refs is None for level in N._level_memo.values())
+    want = reference_maps(A, nerve(G, 3))
+    assert maps[100].assign == want[100].assign
+    assert all(level._refs is not None for level in N._level_memo.values())
+    assert [f.assign for f in maps] == [f.assign for f in want]
+
+
+def test_horn_and_boundary_inclusions_make_their_assignments_on_first_read():
+    # only a lifting witness reads an inclusion: a scan leaves the cached ones unread
+    for n in range(1, 5):
+        D = standard_simplex(n)
+        for A, incl in [*(horn.__wrapped__(n, i) for i in range(n + 1)), simplex_boundary.__wrapped__(n)]:
+            assert "assign" not in vars(incl)
+            assert incl.assign == {g: D.generator(g) for level in A.gens for g in level}
+            assert incl.validate() == [] and "_make" not in vars(incl)
+    horn.cache_clear()
+    assert is_kan(standard_simplex(0), 6)
+    assert not any("assign" in vars(horn(n, i)[1]) for n in range(1, 7) for i in range(n + 1))
 
 
 def test_a_negative_limit_is_refused():
