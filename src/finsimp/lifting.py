@@ -302,8 +302,8 @@ def _lifting_check(p, N, shapes):
 
 def _on_ids(p, n):
     """The map p on level n, from ids of its source to ids of its target."""
-    ids = numbered_level(p.target, n).ids()
-    return [ids[p.apply(z)] for z in simplices(p.source, n)]
+    level = numbered_level(p.target, n)
+    return [level.id_of(p.apply(z)) for z in simplices(p.source, n)]
 
 
 def is_kan_fibration(p, N):

@@ -2,12 +2,12 @@
 
 A simplicial set is stored by its non-degenerate simplices (the
 "generators") together with their faces: a face table on generators,
-or, for a set built level by level such as a nerve, face_ids, the id
-of every generator face in numbered_level one level down (the face
-table is then derived on first read, for face, validate, == and the
-text format).  Every simplex
-is then a pair (word, generator) where `word` is a strictly decreasing
-tuple of degeneracy indices, applied outermost first:
+or, for a set built level by level such as a nerve or a truncation,
+face_ids, the id of every generator face in numbered_level one level
+down (the face table is then derived on first read, for face,
+validate, == and the text format).  Every simplex is then a pair
+(word, generator) where `word` is a strictly decreasing tuple of
+degeneracy indices, applied outermost first:
 
     word (2, 0) over g  means  s_2 s_0 g.
 
@@ -22,20 +22,21 @@ Each level has one representation, numbered_level: its n-simplices
 listed block by block, one block per degeneracy word in word order
 with the generators by name (ref_key order; simplices(S, n) is that
 list), and every face and degeneracy operator as an array of ids; a
-level makes its simplices (`refs`) only when one is asked for.
-Scans that read a whole level run on these numbers, and so do every
-map search (MapSearch), pinned, constrained or neither, and the
-isomorphism search: pins, values and keys are ids, and the engine's
-one face-table format is ids under int tuples, the tables of all
-n-simplices (face_id_index) and of generators (_generator_index,
-read by face_lookup), so lookups index lists instead of rewriting
-words; face rewrites single simplices and keeps no memo.  Searches
-hand maps back as id rows (map_rows), and only maps_of_rows makes
-simplices of those: its maps keep their rows and make their `assign`
-dicts, and the target levels' simplices, on first read.  Otherwise simplices are made only at the
-boundary: pins taken in, the candidates a search's `constrain` is
-asked about, and face_index, a table turned into simplices for
-callers outside.
+level makes its simplices (`refs`) only when one is asked for, and
+turns a simplex into its id by its block (id_of), the one way from
+simplices to ids.  Scans that read a whole level run on these numbers,
+and so do every map search (MapSearch), pinned, constrained or
+neither, and the isomorphism search: pins, values and keys are ids,
+and the engine's one face-table format is ids under int tuples, the
+tables of all n-simplices (face_id_index) and of generators
+(_generator_index, read by face_lookup), so lookups index lists
+instead of rewriting words; face rewrites single simplices and keeps
+no memo.  Searches hand maps back as id rows (map_rows), and only
+maps_of_rows makes simplices of those: its maps keep their rows and
+make their `assign` dicts, and the target levels' simplices, on first
+read.  Otherwise simplices are made only at the boundary: pins taken
+in, the candidates a search's `constrain` is asked about, and
+face_index, a table turned into simplices for callers outside.
 
 The `truncated` flag marks sets that are honest windows onto a larger
 object (e.g. a nerve cut below its longest chain).  Constructions that
@@ -272,18 +273,19 @@ class NumberedLevel:
     generators; `size` counts the ids.  This is ref_key order, and
     `refs`, the simplices by id, is simplices(S, n); it is made on
     first read, so a scan that only reads ids makes no simplex.  ref
-    and id_of turn one id into a simplex and back without it.
+    and id_of turn one id into a simplex and back without it; id_of is
+    the level's one lookup from simplices to ids.
     faces[k] holds the id of d_k z one level down for every id z, and
     degens[j] the id of s_j y for every id y one level down.  Nothing
     here refers to S.
     """
 
-    __slots__ = ("n", "blocks", "names", "size", "faces", "degens", "_refs", "_ids")
+    __slots__ = ("n", "blocks", "names", "size", "faces", "degens", "_refs")
 
     def __init__(self, n, blocks, names, faces, degens):
         self.n, self.blocks, self.names, self.faces, self.degens = n, blocks, names, faces, degens
         self.size = sum(map(len, blocks.values()))
-        self._refs = self._ids = None
+        self._refs = None
 
     @property
     def refs(self):
@@ -294,12 +296,6 @@ class NumberedLevel:
                 map(SimplexRef, itertools.repeat(w), gens, itertools.repeat(n)) for w, gens in self.names.items()
             ))
         return self._refs
-
-    def ids(self):
-        """The id of every simplex of the level, built on first use."""
-        if self._ids is None:
-            self._ids = dict(zip(self.refs, range(self.size)))
-        return self._ids
 
     def ref(self, z):
         """The simplex with id z; IndexError for an id outside range(size)."""
@@ -345,11 +341,13 @@ def numbered_level(S, n):
     length n - m in order for every m with generators, each block the
     dimension-m generators by name (level_blocks).  s_j maps the block
     of word w onto the block of word s_j w, keeping positions.  d_k of
-    a generator is read off S's face_ids when it has them, else looked
-    up by the simplices of its face table; of s_j y it is y for k in
-    {j, j+1}, else s_(j-1) d_k y (k < j) or s_j d_(k-1) y (k > j+1),
-    read from the arrays one and two levels down (Gabriel-Zisman).  No
-    face of a single simplex is computed.  There is no level below 0.
+    a generator is read off S's face_ids when it has them, else the id
+    of its face-table entry one level down (id_of; KeyError when that
+    entry is not a simplex there); of s_j y it is y for k in {j, j+1},
+    else s_(j-1) d_k y (k < j) or s_j d_(k-1) y (k > j+1), read from
+    the arrays one and two levels down (Gabriel-Zisman).  No face of a
+    single simplex is computed, and no level below is listed.  There is
+    no level below 0.
     """
     if n < 0:
         raise DimensionError(f"level {n} out of range: levels start at 0")
@@ -371,7 +369,10 @@ def numbered_level(S, n):
             gen_faces = S._face_ids[n]
         else:
             rows = [S.face_table[g] for g in names[()]]
-            gen_faces = [list(map(low.ids().__getitem__, [f[k] for f in rows])) for k in range(n + 1)]
+            gen_faces = [list(map(low.id_of, [f[k] for f in rows])) for k in range(n + 1)]
+            for k, col in enumerate(gen_faces):
+                if None in col:
+                    raise KeyError(f"face d_{k} of '{names[()][col.index(None)]}' is not a simplex of level {n - 1}")
         for k in range(n + 1):
             col = []
             for word in blocks:
@@ -685,20 +686,20 @@ def discrete_simplicial_set(names, bound=0):
 def truncate(S, d):
     """Drop all generators above dimension d.
 
-    The result is flagged truncated when generators were actually
-    dropped (or the input already was a window).
+    The result keeps the face ids of the generators it keeps: a level's
+    generators, by name, lead its numbering, so they are the first ids
+    of every face array of numbered_level(S, n), and ids one level down
+    do not depend on the levels above.  Its face table is derived from
+    them on first read.  The result is flagged truncated when generators
+    were actually dropped (or the input already was a window).
     """
     if d < -1:
         raise DimensionError("truncation level below -1")
     if d >= S.bound:
         return S
     dropped = any(S.gens[n] for n in range(d + 1, S.bound + 1))
-    truncated = S.truncated or dropped
-    if S._face_ids is not None:  # ids one level down do not depend on the levels above
-        return SimplicialSet(S.gens[: d + 1], face_ids=S._face_ids[: d + 1], truncated=truncated)
-    keep = {g for level in S.gens[: d + 1] for g in level}
-    faces = {g: refs for g, refs in S.face_table.items() if g in keep}
-    return SimplicialSet(S.gens[: d + 1], faces, truncated=truncated)
+    face_ids = [(), *([col[:len(S.gens[n])] for col in numbered_level(S, n).faces] for n in range(1, d + 1))]
+    return SimplicialSet(S.gens[: d + 1], face_ids=face_ids, truncated=S.truncated or dropped)
 
 
 def rename_generators(S, mapping):
@@ -706,6 +707,9 @@ def rename_generators(S, mapping):
     vals = list(mapping.values())
     if len(set(vals)) != len(vals):
         raise ValueError("renaming is not injective")
+    unmapped = next((g for level in S.gens for g in level if g not in mapping), None)
+    if unmapped is not None:
+        raise ValueError(f"renaming has no image for generator '{unmapped}'")
     gens = [[mapping[g] for g in level] for level in S.gens]
     faces = {
         mapping[g]: tuple(SimplexRef(r.word, mapping[r.gen], r.dim) for r in refs)
@@ -920,8 +924,10 @@ def _search_plan(A, pinned):
     a tied face is implied by it; checks (w, w0, I) for the faces
     d_w cell = s_I d_w0 cell within the cell (loops, degenerate faces);
     and the generators (g, w) read off it.  With the steps come each
-    top cell's slot, and a program of (register, face) steps from the
-    registers [pins, top cells] to the generator values listed by `out`.
+    top cell's slot and every generator's home, in declaration order:
+    (r, w) when its value is d_w of the r-th of [pins, top cells in
+    declaration order], where r is its own pin for a pinned generator,
+    else the first cell in search order that it lies on.
     """
     key = frozenset(pinned)
     cells = _top_cells(A)
@@ -974,16 +980,7 @@ def _search_plan(A, pinned):
             read[g], home[g] = (base + j, w), (base + c, w)
         slots[c] = base + j
         steps.append((n, tuple(t[0] for t in ties), tuple(t[1:] for t in ties), checks, list(new.items())))
-    registers, program, out = {}, [], []  # registers: program step (register, face) -> its register
-    for g in (g for level in A.gens for g in level):
-        r, w = home[g]
-        for k in w:
-            if (r, k) not in registers:
-                registers[(r, k)] = base + len(cells) + len(program)
-                program.append((r, k))
-            r = registers[(r, k)]
-        out.append(r)
-    return pins, steps, slots, program, out
+    return pins, steps, slots, [home[g] for level in A.gens for g in level]
 
 
 class MapSearch:
@@ -1006,10 +1003,10 @@ class MapSearch:
     ints, ties and checks read faces from id arrays (_column), and the
     tables are face_id_index's and face_lookup's.  Only `constrain`
     sees simplices, those of the candidates.  `rows` gives the maps'
-    value rows in ids, turning the plan's register program into id
-    arrays at its first call; rows sort like map_key, and
-    maps_of_rows makes maps of them.  A scan that hands back no map
-    makes no simplex of B.  `_plans`, internal, gives the search plan
+    value rows in ids, each generator's value read off its home in the
+    plan by face arrays; rows sort like map_key, and maps_of_rows
+    makes maps of them.  A scan that hands back no map makes no
+    simplex of B.  `_plans`, internal, gives the search plan
     for the frozenset of pinned names, for scans that build one plan
     per shape (default: _search_plan of A).
     """
@@ -1027,11 +1024,10 @@ class MapSearch:
             pins = None
         self.live = pins is not None
         plan = (_plans or partial(_search_plan, A))(frozenset(pins or ()))
-        names, self.steps, self.slots, program, self.out = plan
+        names, self.steps, self.slots, self.homes = plan
         self.pins = [numbered_level(B, A.gen_dim[g]).id_of(pins[g]) for g in names]
         # the level of each slot's value: the pins', then the cells' in search order
         self._dims = [A.gen_dim[g] for g in names] + [step[0] for step in self.steps]
-        self._plan_program, self._program = program, None
 
     def _lookups(self):
         """Per step its table, its ties as (slot, reader), and the filter of its candidates or None.
@@ -1096,21 +1092,21 @@ class MapSearch:
         """The value rows of the `count` maps with top-cell values `tops`, one list per cell as from join.
 
         A row holds the ids of a map's values on A's generators in
-        declaration order.  The program runs column by column.  Rows
-        sort like map_key: position p holds values of one dimension,
-        and ids follow simplices(B, n), which is sorted by ref_key.
+        declaration order, column by column: a generator with home (r,
+        w) takes d_w of column r of [pins, tops], read through the face
+        arrays of numbered_level(B, ·) one face at a time, and each
+        (r, prefix of w) is composed once for all the homes sharing it.
+        Rows sort like map_key: position p holds values of one
+        dimension, and ids follow simplices(B, n), sorted by ref_key.
         """
-        if self._program is None:
-            # the plan's (register, face) steps become (register, id array) steps
-            dims = self._dims[:len(self.pins)] + [self._dims[s] for s in self.slots]
-            self._program = []
-            for r, k in self._plan_program:
-                self._program.append((r, numbered_level(self.target, dims[r]).faces[k]))
-                dims.append(dims[r] - 1)
-        regs = [*([x] * count for x in self.pins), *tops]
-        for src, a in self._program:
-            regs.append(list(map(a.__getitem__, regs[src])))
-        return _transposed(count, [regs[r] for r in self.out])
+        dims = self._dims[:len(self.pins)] + [self._dims[s] for s in self.slots]
+        cols = {(r, ()): col for r, col in enumerate([*([x] * count for x in self.pins), *tops])}
+        for r, w in self.homes:
+            for t in range(len(w)):
+                if (r, w[:t + 1]) not in cols:
+                    a = numbered_level(self.target, dims[r] - t).faces[w[t]]
+                    cols[(r, w[:t + 1])] = list(map(a.__getitem__, cols[(r, w[:t])]))
+        return _transposed(count, [cols[home] for home in self.homes])
 
     def first(self, tops, found):
         """The (map, payload) of the (row number, payload) pairs in `found` whose map is listed first.

@@ -8,9 +8,14 @@ These tests read the workers' source with ast and look the names up.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import finsimp
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(BENCH.rglob("*.py"))
@@ -45,3 +50,27 @@ def test_every_cache_the_benchmark_checks_is_an_lru_cache():
     assert cached
     for module, fn in cached:
         assert hasattr(getattr(importlib.import_module(f"finsimp.{module}"), fn), "cache_info"), (module, fn)
+
+
+def test_import_leaves_every_finsimp_cache_cold():
+    # the benchmark times operations from cold caches; it checks only the ones in CACHED,
+    # so a fresh interpreter checks them all: every lru_cache on a finsimp module
+    src = os.path.dirname(os.path.dirname(finsimp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, finsimp\n"
+        "caches = {f'{f.__module__}.{f.__qualname__}': f.cache_info().currsize\n"
+        "          for name, m in list(sys.modules.items()) if name.split('.')[0] == 'finsimp'\n"
+        "          for f in vars(m).values() if hasattr(f, 'cache_info') and f.__module__.startswith('finsimp')}\n"
+        "print(*(f'{k} {v}' for k, v in sorted(caches.items())), sep='\\n')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    sizes = dict(line.split() for line in proc.stdout.splitlines())
+    assert len(sizes) >= 10, sizes
+    assert {name: size for name, size in sizes.items() if size != "0"} == {}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsimp.categories import nerve, poset_category
-from finsimp.constructions import slice_over
+from finsimp.constructions import product, slice_over
 from finsimp.groups import cyclic_group, one_object_groupoid, symmetric_group
 from finsimp.lifting import HornMap, horn_maps, is_kan
 from finsimp.simplicial import (
@@ -48,7 +48,7 @@ from finsimp.simplicial import (
     word_apply,
 )
 from reference_search import dfs_tops, reference_isomorphism, reference_maps
-from strategies import small_simplicial_sets
+from strategies import small_categories, small_simplicial_sets
 
 
 # --- oracles -----------------------------------------------------------------
@@ -373,7 +373,7 @@ def assert_numbered_levels_match_the_calculus(S, top):
     for n in range(top + 1):
         level = numbered_level(S, n)
         assert level.refs is simplices(S, n)
-        assert level.ids() == {z: i for i, z in enumerate(simplices(S, n))}
+        assert [level.id_of(z) for z in simplices(S, n)] == list(range(level.size))
         below = simplices(S, n - 1)
         for k, col in enumerate(level.faces):
             assert [below[i] for i in col] == [face(S, k, z) for z in simplices(S, n)]
@@ -403,6 +403,23 @@ def test_a_level_refuses_ids_outside_its_range_before_and_after_listing_its_simp
             with pytest.raises(IndexError):
                 level.ref(z)
         level.refs
+
+
+def test_numbering_a_face_table_set_lists_no_level():
+    # a generator's faces are numbered by id_of one level down, not by listing that level
+    P = product(standard_simplex(1), standard_simplex(2))
+    numbered_level(P, P.bound)
+    assert [numbered_level(P, m)._refs for m in range(P.bound + 1)] == [None] * (P.bound + 1)
+    # a face on an unknown generator is an error, never a None id in a face column
+    bad = SimplicialSet([["a", "b"], ["e"]], {"e": (SimplexRef((), "b", 0), SimplexRef((), "z", 0))})
+    for _ in range(2):
+        with pytest.raises(KeyError, match="face d_1 of 'e' is not a simplex of level 0"):
+            numbered_level(bad, 1)
+    assert 1 not in bad._level_memo
+    with pytest.raises(KeyError):
+        numbered_level(bad, 2)
+    for S in (P, bad):
+        assert all(None not in col for level in S._level_memo.values() for col in level.faces)
 
 
 def test_numbered_levels_match_the_face_and_degeneracy_calculus(corpus):
@@ -803,6 +820,15 @@ def no_identity_edge(g, r):
 
 # --- isomorphism search -------------------------------------------------------
 
+def test_renaming_names_a_generator_it_has_no_image_for():
+    S = discrete_simplicial_set(["a", "b"])
+    with pytest.raises(ValueError, match="no image for generator 'b'"):
+        rename_generators(S, {"a": "x"})
+    with pytest.raises(ValueError, match="not injective"):
+        rename_generators(S, {"a": "x", "b": "x"})
+    assert rename_generators(S, {"a": "x", "b": "y"}).gens == (("x", "y"),)
+
+
 def test_isomorphism_with_renamed_copy():
     S = simplex_boundary(3)[0]
     ren = rename_generators(S, {g: f"q{idx}" for idx, g in enumerate(
@@ -880,6 +906,45 @@ def test_truncate_marks_windows():
     assert validate(T) == []
     assert truncate(S, 2) is S
     assert not truncate(discrete_simplicial_set(["a"], bound=3), 1).truncated
+
+
+def reference_truncate(S, d):
+    """truncate as it was for a set with a face table: the table filtered to the kept generators."""
+    if d >= S.bound:
+        return S
+    keep = {g for level in S.gens[: d + 1] for g in level}
+    faces = {g: refs for g, refs in S.face_table.items() if g in keep}
+    return SimplicialSet(S.gens[: d + 1], faces, truncated=S.truncated or any(S.gens[d + 1:]))
+
+
+def assert_truncations_match_the_reference(S):
+    # every d from -1 to the bound; truncate reads face ids, the reference the face table
+    for d in range(-1, S.bound + 1):
+        got, want = truncate(S, d), reference_truncate(S, d)
+        assert got == want
+        assert got.truncated == want.truncated
+        assert got.face_table == want.face_table
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_simplicial_sets())
+def test_truncate_matches_the_face_table_construction(S):
+    assert_truncations_match_the_reference(S)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_categories())
+def test_truncate_matches_the_face_table_construction_on_nerves(C):
+    assert_truncations_match_the_reference(nerve(C, 3))
+
+
+def test_truncating_a_nerve_window_derives_no_face_table():
+    N = nerve(one_object_groupoid(cyclic_group(3)), 3)
+    assert N.truncated
+    truncations = [truncate(N, d) for d in range(-1, N.bound)]
+    assert N._face_table is None
+    assert all(T._face_table is None for T in truncations)
+    assert_truncations_match_the_reference(N)
 
 
 # --- from_level_data ----------------------------------------------------------
